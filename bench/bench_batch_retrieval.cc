@@ -5,7 +5,7 @@
 // VisitOrder::kGlobalLowerBound).
 //
 // The batch path wins on three axes: per-query derivatives (summary,
-// envelope, features) are computed once up front, every worker reuses one
+// features) are computed once up front, every worker reuses one
 // pre-sized rolling DP scratch instead of allocating per call, and the
 // query×candidate grid is work-stolen across threads with a shared
 // per-query best-so-far, so the cascade tightens as workers race.
@@ -24,8 +24,9 @@
 //   --smoke                                         tiny CI scale
 //   --seed=S                                        generator seed
 //   --json=FILE  write a machine-readable perf baseline (queries/s, DP
-//                counts, prune rates, Keogh abandons, and banded-kernel
-//                cells/s) for CI artifact tracking across perf PRs
+//                counts, prune rates, Keogh abandons, sDTW band builds,
+//                and banded-kernel cells/s) for CI artifact tracking
+//                across perf PRs
 //
 // scripts/bench_smoke.sh passes --json so CI uploads BENCH_retrieval.json
 // as the perf-trajectory artifact.
@@ -190,6 +191,10 @@ bool RunMode(const char* label, const sdtw::retrieval::KnnOptions& options,
     std::printf("  lb_keogh: %zu pruned, %zu bound passes abandoned early\n",
                 lb.pruned_by_keogh, lb.lb_keogh_abandoned);
   }
+  if (lb.band_builds > 0) {
+    std::printf("  band builds: %zu of %zu candidates\n", lb.band_builds,
+                lb.candidates);
+  }
   if (out != nullptr) *out = metrics;
   return identical;
 }
@@ -246,11 +251,11 @@ void WriteJson(const char* path, const Scale& scale, bool smoke,
                    "\"dp_evaluations\": %zu, \"prune_rate\": %.6f, "
                    "\"pruned_by_kim\": %zu, \"pruned_by_keogh\": %zu, "
                    "\"pruned_by_early_abandon\": %zu, "
-                   "\"lb_keogh_abandoned\": %zu}%s\n",
+                   "\"lb_keogh_abandoned\": %zu, \"band_builds\": %zu}%s\n",
                    kOrderNames[oi], m.orders[oi].seconds, s.candidates,
                    s.dp_evaluations, s.prune_rate(), s.pruned_by_kim,
                    s.pruned_by_keogh, s.pruned_by_early_abandon,
-                   s.lb_keogh_abandoned, oi < 2 ? "," : "");
+                   s.lb_keogh_abandoned, s.band_builds, oi < 2 ? "," : "");
     }
     std::fprintf(f, "      }\n");
     std::fprintf(f, "    }%s\n", last ? "" : ",");

@@ -4,9 +4,10 @@
 Compares the current run's perf baseline (written by
 `bench_batch_retrieval --json=...`) against the previous run's artifact
 and fails when the banded DP kernel slows down by more than the allowed
-ratio, or when any cascade order starts running MORE DP evaluations (the
-DP counts are deterministic for a fixed scale and seed, so any increase
-is a real pruning regression, not noise).
+ratio, or when any cascade order starts running MORE DP evaluations or
+MORE sDTW band builds (both counts are deterministic for a fixed scale
+and seed, so any increase is a real pruning regression, not noise; a
+baseline written before band_builds existed skips that entry only).
 
 Since schema v3 the baseline may carry a "service" block (written by
 `bench_service --json=...`); its p95 submit->complete latency is gated
@@ -108,8 +109,9 @@ def main(argv):
         if ratio < min_ratio:
             failures.append(f"{key} regressed: {line.strip()}")
 
-    # 2. DP-evaluation counts per mode and visit order: deterministic at
-    # fixed scale/seed, so strictly more DPs means the cascade got worse.
+    # 2. DP-evaluation and sDTW band-build counts per mode and visit order:
+    # deterministic at fixed scale/seed, so strictly more of either means
+    # the cascade got worse.
     for mode, mdata in sorted(current.get("modes", {}).items()):
         bmode = baseline.get("modes", {}).get(mode)
         if bmode is None:
@@ -121,14 +123,15 @@ def main(argv):
                 print(f"  {mode}/{order}: skipped "
                       "(absent from previous baseline)")
                 continue
-            old, new = border.get("dp_evaluations"), odata.get("dp_evaluations")
-            if old is None or new is None:
-                print(f"  {mode}/{order}: skipped (dp_evaluations missing)")
-                continue
-            print(f"  {mode}/{order}: dp_evaluations {old} -> {new}")
-            if new > old:
-                failures.append(
-                    f"{mode}/{order} dp_evaluations increased: {old} -> {new}")
+            for key in ("dp_evaluations", "band_builds"):
+                old, new = border.get(key), odata.get(key)
+                if old is None or new is None:
+                    print(f"  {mode}/{order}: skipped ({key} missing)")
+                    continue
+                print(f"  {mode}/{order}: {key} {old} -> {new}")
+                if new > old:
+                    failures.append(
+                        f"{mode}/{order} {key} increased: {old} -> {new}")
 
     # 3. Service p95 latency: wall-clock, so gated with a generous ratio
     # plus absolute slack rather than the exact rules above.

@@ -17,8 +17,6 @@ Envelope MakeEnvelope(const ts::TimeSeries& s, std::size_t r) {
     // every element of the envelope is the global extremum — one
     // minmax_element pass and two constant fills instead of running the
     // deque machinery over 2n push/pop events for a constant answer.
-    // This is the radius the unconstrained-DTW retrieval cascade uses for
-    // every envelope.
     const auto minmax = std::minmax_element(s.begin(), s.end());
     env.upper.assign(n, *minmax.second);
     env.lower.assign(n, *minmax.first);
@@ -90,17 +88,23 @@ double LbKeogh(const ts::TimeSeries& x, const Envelope& y_envelope) {
   return sum;
 }
 
-double LbKeoghAbandoning(const ts::TimeSeries& x, const Envelope& y_envelope,
-                         double abandon_above, bool* abandoned) {
+double LbKeoghAbandoning(const ts::TimeSeries& x, const SeriesStats& y,
+                         double abandon_above, bool* abandoned,
+                         CostKind cost) {
   if (abandoned != nullptr) *abandoned = false;
-  if (x.size() != y_envelope.upper.size()) return 0.0;
+  if (!y.valid) return 0.0;
+  const bool squared = cost == CostKind::kSquared;
   double sum = 0.0;
   for (std::size_t i = 0; i < x.size(); ++i) {
-    if (x[i] > y_envelope.upper[i]) {
-      sum += x[i] - y_envelope.upper[i];
-    } else if (x[i] < y_envelope.lower[i]) {
-      sum += y_envelope.lower[i] - x[i];
+    // Same comparisons as LbKeogh; an inside point adds +0.0, which leaves
+    // the non-negative sum bitwise unchanged.
+    double d = 0.0;
+    if (x[i] > y.max) {
+      d = x[i] - y.max;
+    } else if (x[i] < y.min) {
+      d = y.min - x[i];
     }
+    sum += squared ? d * d : d;
     if (sum > abandon_above) {
       // Every remaining term is >= 0, so the full sum would also exceed
       // the threshold: the caller's prune decision is already settled.

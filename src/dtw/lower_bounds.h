@@ -8,12 +8,14 @@
 /// the paper builds on ([7] Keogh 2002, [16] Rakthanmanon et al. 2012). They
 /// complement the band constraints: a retrieval loop can skip the DP
 /// entirely when the lower bound already exceeds the best-so-far distance.
-/// Both bounds are valid for the absolute cost and band-limited warping.
+/// Both bounds are valid for the absolute cost and band-limited warping;
+/// the full-span LB_Keogh from SeriesStats also for the squared cost.
 
 #include <cstddef>
 #include <vector>
 
 #include "dtw/band.h"
+#include "dtw/cost.h"
 #include "ts/time_series.h"
 
 namespace sdtw {
@@ -28,15 +30,15 @@ struct Envelope {
 /// Builds the Keogh envelope of `s` for a symmetric warping radius `r`
 /// (in samples): upper[i] = max(s[i-r..i+r]), lower[i] = min(s[i-r..i+r]).
 /// Uses a monotonic-deque sliding window (O(n)); when the window spans the
-/// whole series (r >= n-1, the full-span envelopes of the
-/// unconstrained-DTW retrieval cascade) the envelope is two constant fills
-/// of the global extrema instead.
+/// whole series (r >= n-1) the envelope is two constant fills of the
+/// global extrema instead.
 Envelope MakeEnvelope(const ts::TimeSeries& s, std::size_t r);
 
 /// \brief O(1)-combinable summary of a series for LB_Kim: the first/last
 /// values and the global extrema. Indexes cache one per series so the
 /// cascade's stage-1 test costs O(1) per candidate instead of rescanning
-/// the candidate series on every query.
+/// the candidate series on every query; the extrema are also the whole
+/// full-span Keogh envelope (see LbKeoghAbandoning below).
 struct SeriesStats {
   double first = 0.0;
   double last = 0.0;
@@ -61,21 +63,28 @@ double LbKim(const SeriesStats& x, const SeriesStats& y);
 /// (a trivially valid bound).
 double LbKeogh(const ts::TimeSeries& x, const Envelope& y_envelope);
 
-/// LB_Keogh with cumulative-bound abandoning (the UCR-suite refinement):
-/// accumulates the envelope distances left to right and stops as soon as
-/// the running sum exceeds `abandon_above`, instead of always completing
-/// the O(n) pass. The terms are non-negative and accumulated in the same
-/// order as LbKeogh, so the running sum is monotone non-decreasing and the
-/// returned partial sum is itself a valid lower bound; in particular the
-/// decision `result > abandon_above` is identical to the full pass's
-/// `LbKeogh(...) > abandon_above`, which is what keeps cascade prunes (and
-/// therefore hit lists) unchanged. When the scan stops early, `*abandoned`
-/// (if non-null) is set to true and the partial sum is returned; otherwise
-/// `*abandoned` is set to false and the result equals LbKeogh(x, y_envelope)
-/// exactly. Length mismatches return 0 with *abandoned == false, as the
-/// full pass does.
-double LbKeoghAbandoning(const ts::TimeSeries& x, const Envelope& y_envelope,
-                         double abandon_above, bool* abandoned = nullptr);
+/// LB_Keogh of x against the full-span envelope of y (every element equal
+/// to y's global [min, max]), read from y's cached summary instead of a
+/// stored envelope, with cumulative-bound abandoning (the UCR-suite
+/// refinement).
+///
+/// Soundness needs no window and no equal lengths: every warp path visits
+/// every row i of x and aligns x_i to some y_j in [min(y), max(y)], so
+/// Σ_i cost(x_i, [min(y), max(y)]) lower-bounds DTW(x, y) for either
+/// CostKind — and every banded DTW, since a band only removes paths. The
+/// terms are added left to right, the order the DP accumulates a path, so
+/// the bound holds in floating point too.
+///
+/// The scan stops as soon as the running sum exceeds `abandon_above`. The
+/// terms are non-negative, so the decision `result > abandon_above` is the
+/// full pass's, which is what keeps cascade prunes (and hit lists)
+/// unchanged. When the scan stops early, `*abandoned` (if non-null) is set
+/// to true and the partial sum is returned; otherwise it is set to false
+/// and the result is the full bound — for kAbsolute and equal lengths,
+/// bitwise LbKeogh(x, MakeEnvelope(y, n - 1)). An empty y returns 0.
+double LbKeoghAbandoning(const ts::TimeSeries& x, const SeriesStats& y,
+                         double abandon_above, bool* abandoned = nullptr,
+                         CostKind cost = CostKind::kAbsolute);
 
 /// Convenience: builds the envelope of y with radius r and evaluates
 /// LB_Keogh(x, env(y)).

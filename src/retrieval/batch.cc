@@ -237,14 +237,6 @@ QueryContext BatchKnnEngine::MakeContext(const ts::TimeSeries& query) const {
   if (opt.distance == DistanceKind::kSdtw) {
     context.features = index_.engine_.ExtractFeatures(query);
   }
-  if (opt.use_lb_keogh && opt.distance == DistanceKind::kFullDtw &&
-      index_.lengths_.count(query.size()) > 0) {
-    // Full-span envelope: the only radius sound for unconstrained DTW
-    // (see KnnOptions::use_lb_keogh). Skipped when no indexed series
-    // shares the query's length — LB_Keogh is undefined across lengths,
-    // so the envelope could never be consumed.
-    context.envelope = dtw::MakeEnvelope(query, query.size());
-  }
   return context;
 }
 
@@ -271,41 +263,32 @@ double BatchKnnEngine::CascadeDistance(const ts::TimeSeries& query,
     }
   }
   // Cascade stage 2: LB_Keogh in both directions — the query against the
-  // candidate envelope cached at Index() time, and the candidate against
-  // the query envelope computed once per batch. The envelopes span the
-  // whole series (global min/max), the only radius that lower-bounds
-  // *unconstrained* DTW: every warp path visits each row i, aligning x_i
-  // to some value inside [min(y), max(y)], so Σ_i dist(x_i, envelope) is
-  // a valid bound. Radius-limited envelopes would only bound
-  // window-constrained DTW, and sDTW bands may be narrower still — hence
-  // exact-DTW mode only. Each direction accumulates its sum with
-  // cumulative abandoning against the best-so-far (LbKeoghAbandoning):
-  // the prune decision is identical to the full pass, but the O(n) bound
-  // computation itself stops as soon as it is settled.
-  if (opt.use_lb_keogh && opt.distance == DistanceKind::kFullDtw) {
-    if (target.size() != query.size()) {
-      // LB_Keogh is only defined on equal lengths (LbKeogh would return
-      // the trivial bound 0): skip the stage for this candidate and say
-      // so, instead of counting it as Keogh-checked.
-      if (stats != nullptr) ++stats->lb_keogh_skipped;
-    } else if (std::isfinite(best_so_far)) {
-      bool abandoned = false;
-      if (dtw::LbKeoghAbandoning(query, index_.envelopes_[candidate],
-                                 best_so_far, &abandoned) > best_so_far) {
-        if (stats != nullptr) {
-          ++stats->pruned_by_keogh;
-          if (abandoned) ++stats->lb_keogh_abandoned;
-        }
-        return kInf;
+  // candidate's full-span envelope, and the candidate against the
+  // query's, both read from cached SeriesStats. Every warp path visits
+  // each row i, aligning x_i to some value inside [min(y), max(y)], so
+  // Σ_i cost(x_i, [min(y), max(y)]) bounds unconstrained DTW for either
+  // cost and any lengths. An sDTW band only removes warp paths, so
+  // sDTW >= DTW >= the bound: the stage is sound in both DTW modes, and
+  // in kSdtw it runs before the expensive BuildBand. Each direction
+  // accumulates with cumulative abandoning against the best-so-far: the
+  // prune decision is the full pass's, but the O(n) bound computation
+  // stops as soon as it is settled.
+  if (opt.use_lb_keogh && std::isfinite(best_so_far) &&
+      (opt.distance == DistanceKind::kFullDtw ||
+       opt.distance == DistanceKind::kSdtw)) {
+    const dtw::CostKind cost = opt.distance == DistanceKind::kSdtw
+                                   ? engine.options().dtw.cost
+                                   : dtw::CostKind::kAbsolute;
+    bool abandoned = false;
+    if (dtw::LbKeoghAbandoning(query, index_.stats_[candidate], best_so_far,
+                               &abandoned, cost) > best_so_far ||
+        dtw::LbKeoghAbandoning(target, context.stats, best_so_far,
+                               &abandoned, cost) > best_so_far) {
+      if (stats != nullptr) {
+        ++stats->pruned_by_keogh;
+        if (abandoned) ++stats->lb_keogh_abandoned;
       }
-      if (dtw::LbKeoghAbandoning(target, context.envelope, best_so_far,
-                                 &abandoned) > best_so_far) {
-        if (stats != nullptr) {
-          ++stats->pruned_by_keogh;
-          if (abandoned) ++stats->lb_keogh_abandoned;
-        }
-        return kInf;
-      }
+      return kInf;
     }
   }
 
@@ -333,6 +316,7 @@ double BatchKnnEngine::CascadeDistance(const ts::TimeSeries& query,
       // relevant band, then run the banded DP in the worker's rolling
       // buffers, abandoning once a whole row exceeds the current k-th
       // best distance.
+      if (stats != nullptr) ++stats->band_builds;
       const dtw::Band band = engine.BuildBand(query, context.features,
                                               target,
                                               index_.features_[candidate]);

@@ -5,12 +5,12 @@
 /// \brief Batched multi-query kNN retrieval over a KnnEngine index.
 ///
 /// The single-query engine answers one query at a time and pays the
-/// cascade set-up (query summary, envelope, feature extraction) plus DP
-/// scratch allocation per call. BatchKnnEngine executes a whole batch of
-/// queries against one index in a single pass:
+/// cascade set-up (query summary, feature extraction) plus DP scratch
+/// allocation per call. BatchKnnEngine executes a whole batch of queries
+/// against one index in a single pass:
 ///
-///  * per-query derivatives (SeriesStats, Keogh envelope, salient
-///    features) are computed exactly once up front (QueryContext);
+///  * per-query derivatives (SeriesStats, salient features) are computed
+///    exactly once up front (QueryContext);
 ///  * each worker thread owns one ScratchArena whose rolling DTW rows are
 ///    sized once to the widest requirement across the index — the hot
 ///    query×candidate loop performs no DP allocation;
@@ -29,7 +29,9 @@
 ///    candidate set once in phase 1 and lets chunks slice that global
 ///    schedule — same hits, one O(N log N) sort per query, ordering that
 ///    survives arbitrarily small chunks;
-///  * LB_Keogh passes accumulate with cumulative abandoning against the
+///  * LB_Keogh runs against full-span envelopes read from the cached
+///    SeriesStats, in both DTW modes and before the sDTW band is built;
+///    its passes accumulate with cumulative abandoning against the
 ///    best-so-far (dtw::LbKeoghAbandoning): identical prune decisions,
 ///    but the O(n) bound computation itself stops once settled (counted
 ///    in QueryStats::lb_keogh_abandoned).
@@ -154,8 +156,8 @@ class BatchKnnEngine {
       std::span<const std::optional<std::size_t>> excludes,
       std::vector<QueryStats>* stats = nullptr) const;
 
-  /// The per-query derivative work of phase 1 (SeriesStats, Keogh
-  /// envelope, salient features), exposed so a caching front-end can
+  /// The per-query derivative work of phase 1 (SeriesStats, salient
+  /// features), exposed so a caching front-end can
   /// compute a query's context once and replay it across batches. Pure
   /// function of the query values and the engine configuration: a cached
   /// context is bit-identical to a freshly derived one, so replaying it

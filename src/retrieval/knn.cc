@@ -49,20 +49,12 @@ KnnEngine::KnnEngine(KnnOptions options) : options_(std::move(options)) {
 void KnnEngine::Index(const ts::Dataset& dataset) {
   series_.clear();
   features_.clear();
-  envelopes_.clear();
   stats_.clear();
-  lengths_.clear();
   series_.reserve(dataset.size());
   features_.reserve(dataset.size());
-  envelopes_.reserve(dataset.size());
   stats_.reserve(dataset.size());
 
   max_length_ = dataset.MaxLength();
-  // LB_Keogh envelopes are only consumed by the exact-DTW cascade, and
-  // only the full-span (global min/max) envelope is a sound bound for
-  // unconstrained DTW — see KnnOptions::use_lb_keogh.
-  const bool want_envelopes =
-      options_.use_lb_keogh && options_.distance == DistanceKind::kFullDtw;
   for (const ts::TimeSeries& s : dataset) {
     series_.push_back(s);
     // One-time per-series extraction (paper §3.4).
@@ -71,10 +63,7 @@ void KnnEngine::Index(const ts::Dataset& dataset) {
     } else {
       features_.emplace_back();
     }
-    envelopes_.push_back(want_envelopes ? dtw::MakeEnvelope(s, s.size())
-                                        : dtw::Envelope{});
     stats_.push_back(dtw::MakeSeriesStats(s));
-    lengths_.insert(s.size());
   }
 }
 

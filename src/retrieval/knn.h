@@ -17,7 +17,6 @@
 #include <cstddef>
 #include <functional>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "core/sdtw.h"
@@ -73,12 +72,14 @@ struct KnnOptions {
   VisitOrder visit_order = VisitOrder::kLowerBound;
   /// Enable the LB_Kim constant-time prefilter.
   bool use_lb_kim = true;
-  /// Enable the LB_Keogh envelope prefilter (exact-DTW mode, equal-length
-  /// series only). Envelopes span the whole series (global min/max): a
-  /// radius-r envelope only lower-bounds r-window-constrained DTW, and the
-  /// kFullDtw mode ranks by *unconstrained* DTW, for which the full span
-  /// is the only sound radius (an optimal warp may displace arbitrarily
-  /// far, but every x_i still aligns to some value in [min(y), max(y)]).
+  /// Enable the LB_Keogh prefilter in both DTW modes, for either cost and
+  /// any mix of lengths. The envelope spans the whole series (global
+  /// min/max, read from the cached SeriesStats): every warp path visits
+  /// every row, so each x_i aligns to some value in [min(y), max(y)] and
+  /// the bound holds for unconstrained DTW, whatever the displacement. A
+  /// radius-r envelope would only bound r-window-constrained DTW. An sDTW
+  /// band only removes paths, so sDTW >= DTW >= this bound, and the stage
+  /// runs before the band is built.
   bool use_lb_keogh = true;
   /// Enable early-abandoning DP against the best-so-far distance. Applies
   /// to both DTW modes: the kFullDtw rolling kernel, and the kSdtw banded
@@ -98,23 +99,22 @@ struct Hit {
 /// The four outcome counters partition the scanned candidates exactly:
 /// pruned_by_kim + pruned_by_keogh + pruned_by_early_abandon +
 /// dp_evaluations == candidates, under every visit order and thread count.
-/// lb_keogh_skipped and lb_keogh_abandoned are stage-level counts
-/// orthogonal to that partition: skipped counts candidates whose Keogh
-/// stage could not run (length mismatch with the query — LB_Keogh is only
-/// defined on equal lengths) and which continued down the cascade instead
-/// of being silently counted as Keogh-checked; abandoned counts Keogh
-/// evaluations (up to two per candidate, one per direction) whose
-/// cumulative sum crossed the best-so-far before the pass completed and
-/// stopped early (LbKeoghAbandoning), saving part of the O(n) bound
-/// computation on top of the prune itself.
+/// lb_keogh_abandoned and band_builds are stage-level counts orthogonal to
+/// that partition: lb_keogh_abandoned counts Keogh evaluations (up to two
+/// per candidate, one per direction) whose cumulative sum crossed the
+/// best-so-far before the pass completed and stopped early
+/// (LbKeoghAbandoning), saving part of the O(n) bound computation on top
+/// of the prune itself; band_builds counts sDTW Sdtw::BuildBand calls
+/// (matching + consistency + band) — candidates − pruned_by_kim −
+/// pruned_by_keogh in kSdtw mode, 0 in every other mode.
 struct QueryStats {
   std::size_t candidates = 0;
   std::size_t pruned_by_kim = 0;
   std::size_t pruned_by_keogh = 0;
   std::size_t pruned_by_early_abandon = 0;
   std::size_t dp_evaluations = 0;
-  std::size_t lb_keogh_skipped = 0;
   std::size_t lb_keogh_abandoned = 0;
+  std::size_t band_builds = 0;
 
   /// Accumulates another set of counters into this one (per-chunk merge in
   /// the batch engine, per-query aggregation in reporting).
@@ -124,8 +124,8 @@ struct QueryStats {
     pruned_by_keogh += other.pruned_by_keogh;
     pruned_by_early_abandon += other.pruned_by_early_abandon;
     dp_evaluations += other.dp_evaluations;
-    lb_keogh_skipped += other.lb_keogh_skipped;
     lb_keogh_abandoned += other.lb_keogh_abandoned;
+    band_builds += other.band_builds;
   }
   /// Fraction of candidates the cascade resolved without a completed DP:
   /// 1 − dp_evaluations / candidates (0 on an empty scan).
@@ -146,15 +146,15 @@ int VoteLabel(const std::vector<Hit>& hits);
 /// \brief A kNN engine over an indexed data set.
 ///
 /// Index construction extracts and caches per-series salient features and
-/// LB_Keogh envelopes; queries reuse them (the paper's one-time extraction
-/// cost model). The query-time cascade itself lives in BatchKnnEngine
+/// lower-bound summaries; queries reuse them (the paper's one-time
+/// extraction cost model). The query-time cascade itself lives in BatchKnnEngine
 /// (batch.h): Query() is a batch-of-one wrapper, so single-query and
 /// batched retrieval share one implementation.
 class KnnEngine {
  public:
   explicit KnnEngine(KnnOptions options = {});
 
-  /// Indexes the data set (copies it; features/envelopes cached).
+  /// Indexes the data set (copies it; features/summaries cached).
   void Index(const ts::Dataset& dataset);
 
   std::size_t size() const { return series_.size(); }
@@ -188,14 +188,9 @@ class KnnEngine {
   core::Sdtw engine_;
   std::vector<ts::TimeSeries> series_;
   std::vector<std::vector<sift::Keypoint>> features_;
-  std::vector<dtw::Envelope> envelopes_;
-  /// Cached per-series min/max/first/last so the LB_Kim cascade stage is
-  /// O(1) per candidate (no rescan of the candidate series per query).
+  /// Cached per-series min/max/first/last: LB_Kim is O(1) per candidate,
+  /// and the extrema are the candidate's full-span Keogh envelope.
   std::vector<dtw::SeriesStats> stats_;
-  /// Distinct indexed lengths: a query envelope is only worth building
-  /// when at least one candidate shares the query's length (LB_Keogh is
-  /// undefined across lengths).
-  std::unordered_set<std::size_t> lengths_;
   std::size_t max_length_ = 0;
 };
 

@@ -4,8 +4,8 @@
 /// \file query_cache.h
 /// \brief Content-hash-keyed LRU cache of per-query derivatives.
 ///
-/// Deriving a query's context (SeriesStats, Keogh envelope, salient SIFT
-/// features — see QueryContext in scratch.h) is a pure function of the
+/// Deriving a query's context (SeriesStats, salient SIFT features — see
+/// QueryContext in scratch.h) is a pure function of the
 /// query's sample values and the engine configuration. Serving traffic is
 /// heavily repetitive — the same hot queries arrive again and again from
 /// many clients — so a service front-end can skip the derivation entirely

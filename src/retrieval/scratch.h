@@ -6,10 +6,10 @@
 ///
 /// The batch engine separates the two kinds of state a multi-query cascade
 /// needs:
-///  * QueryContext — immutable per-query derivatives (LB_Kim summary,
-///    Keogh envelope, salient features), computed exactly once per query
-///    up front and shared read-only by every worker (paper §3.4: extract
-///    once, reuse for every comparison);
+///  * QueryContext — immutable per-query derivatives (lower-bound summary,
+///    salient features), computed exactly once per query up front and
+///    shared read-only by every worker (paper §3.4: extract once, reuse for
+///    every comparison);
 ///  * ScratchArena — mutable per-worker buffers, above all the rolling DTW
 ///    rows, sized once to the widest requirement across the whole index
 ///    (via dtw::MaxDpRowWidth / the maximum candidate length) so the hot
@@ -31,12 +31,9 @@ namespace retrieval {
 
 /// \brief Read-only per-query state, computed once per query per batch.
 struct QueryContext {
-  /// LB_Kim summary (first/last/min/max) of the query.
+  /// Summary (first/last/min/max) of the query: the LB_Kim inputs, and
+  /// the query's full-span envelope for the reverse LB_Keogh test.
   dtw::SeriesStats stats;
-  /// Keogh envelope of the query itself, for the reverse LB_Keogh test
-  /// (candidate against the query envelope). Empty when LB_Keogh is off or
-  /// not applicable to the configured distance.
-  dtw::Envelope envelope;
   /// Salient features of the query (sDTW distance only).
   std::vector<sift::Keypoint> features;
 };

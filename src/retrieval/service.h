@@ -51,8 +51,8 @@
 ///  * **Worker reuse.** Batches execute on a persistent WorkerPool whose
 ///    threads — and their ScratchArenas, above all the rolling DP rows —
 ///    live across batches, so steady-state scans allocate nothing.
-///  * **Derivative caching.** Per-query derivatives (SeriesStats, Keogh
-///    envelope, SIFT features) are looked up in a content-hash-keyed LRU
+///  * **Derivative caching.** Per-query derivatives (SeriesStats, SIFT
+///    features) are looked up in a content-hash-keyed LRU
 ///    (query_cache.h) and only derived on miss. A faulted fill degrades
 ///    gracefully: nothing is inserted (the cache can never serve a
 ///    context from a faulted fill) and the engine derives internally.

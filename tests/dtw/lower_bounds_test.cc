@@ -183,39 +183,39 @@ TEST(LbKeoghTest, TightensWithSmallerRadius) {
 }
 
 TEST(LbKeoghAbandoningTest, DecisionMatchesFullPassExactly) {
-  // The cumulative-abandoning pass accumulates the same non-negative
-  // terms in the same order, so (result > threshold) must agree with the
-  // full pass for every threshold, and the result must equal the full
-  // bound bit for bit whenever the pass completes.
-  for (std::uint64_t seed = 0; seed < 30; ++seed) {
-    const ts::TimeSeries x = RandomSeries(64, 700 + seed);
-    const ts::TimeSeries y = RandomSeries(64, 800 + seed);
-    const Envelope env = MakeEnvelope(y, 3);
-    const double full = LbKeogh(x, env);
-    const double thresholds[] = {std::numeric_limits<double>::infinity(),
-                                 full,
-                                 full * 0.999,
-                                 full * 0.5,
-                                 full * 1.001,
-                                 0.0};
-    for (const double threshold : thresholds) {
-      bool abandoned = true;
-      const double got = LbKeoghAbandoning(x, env, threshold, &abandoned);
-      EXPECT_EQ(got > threshold, full > threshold)
-          << "seed " << seed << " thr " << threshold;
-      EXPECT_LE(got, full) << "seed " << seed;  // a partial prefix sum
-      if (!abandoned) {
-        EXPECT_EQ(got, full) << "seed " << seed << " thr " << threshold;
-      } else {
-        EXPECT_GT(got, threshold) << "seed " << seed << " thr " << threshold;
+  // The cumulative-abandoning pass accumulates non-negative terms left to
+  // right, so (result > threshold) must agree with the full pass for every
+  // threshold, and the result must equal the full bound bit for bit
+  // whenever the pass completes. For the absolute cost the full pass is
+  // LB_Keogh against the stored full-span envelope.
+  constexpr double kNoThreshold = std::numeric_limits<double>::infinity();
+  for (const CostKind cost : {CostKind::kAbsolute, CostKind::kSquared}) {
+    for (std::uint64_t seed = 0; seed < 30; ++seed) {
+      ts::TimeSeries x = RandomSeries(64, 700 + seed);
+      for (double& v : x) v *= 2.0;  // part of x leaves y's range
+      const ts::TimeSeries y = RandomSeries(64, 800 + seed);
+      const SeriesStats sy = MakeSeriesStats(y);
+      const double full = LbKeoghAbandoning(x, sy, kNoThreshold, nullptr, cost);
+      if (cost == CostKind::kAbsolute) {
+        EXPECT_EQ(full, LbKeogh(x, MakeEnvelope(y, y.size() - 1)));
+      }
+      const double thresholds[] = {kNoThreshold, full,       full * 0.999,
+                                   full * 0.5,   full * 1.001, 0.0};
+      for (const double threshold : thresholds) {
+        bool abandoned = true;
+        const double got =
+            LbKeoghAbandoning(x, sy, threshold, &abandoned, cost);
+        EXPECT_EQ(got > threshold, full > threshold)
+            << "seed " << seed << " thr " << threshold;
+        EXPECT_LE(got, full) << "seed " << seed;  // a partial prefix sum
+        if (!abandoned) {
+          EXPECT_EQ(got, full) << "seed " << seed << " thr " << threshold;
+        } else {
+          EXPECT_GT(got, threshold)
+              << "seed " << seed << " thr " << threshold;
+        }
       }
     }
-    // No threshold: always completes, always the exact bound.
-    bool abandoned = true;
-    EXPECT_EQ(LbKeoghAbandoning(
-                  x, env, std::numeric_limits<double>::infinity(), &abandoned),
-              full);
-    EXPECT_FALSE(abandoned);
   }
 }
 
@@ -224,20 +224,32 @@ TEST(LbKeoghAbandoningTest, AbandonsEarlyWhenBoundExplodes) {
   // few terms; the pass must report the early stop.
   const ts::TimeSeries y({0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0});
   const ts::TimeSeries x({10.0, 10.0, 10.0, 10.0, 10.0, 10.0, 10.0, 10.0});
-  const Envelope env = MakeEnvelope(y, 2);
   bool abandoned = false;
-  const double got = LbKeoghAbandoning(x, env, 5.0, &abandoned);
+  const double got =
+      LbKeoghAbandoning(x, MakeSeriesStats(y), 5.0, &abandoned);
   EXPECT_TRUE(abandoned);
   EXPECT_GT(got, 5.0);
-  EXPECT_LT(got, LbKeogh(x, env));  // stopped before the full sum
+  EXPECT_LT(got, LbKeogh(x, MakeEnvelope(y, 7)));  // stopped before the end
 }
 
-TEST(LbKeoghAbandoningTest, LengthMismatchIsTrivialBound) {
-  const ts::TimeSeries x({1.0, 2.0});
-  const ts::TimeSeries y({1.0, 2.0, 3.0});
+TEST(LbKeoghAbandoningTest, MixedLengthsStillBound) {
+  // The full-span bound has no equal-length precondition: here x = {5, -1}
+  // lies outside y's range [0, 2] by 3 and 1, and DTW(x, y) = 10.
+  const ts::TimeSeries x({5.0, -1.0});
+  const ts::TimeSeries y({0.0, 1.0, 2.0});
   bool abandoned = true;
-  EXPECT_DOUBLE_EQ(LbKeoghAbandoning(x, MakeEnvelope(y, 1), 0.5, &abandoned),
-                   0.0);
+  const double lb = LbKeoghAbandoning(x, MakeSeriesStats(y), 100.0,
+                                      &abandoned);
+  EXPECT_EQ(lb, 4.0);
+  EXPECT_FALSE(abandoned);
+  EXPECT_LE(lb, DtwDistance(x, y));
+  EXPECT_EQ(LbKeoghAbandoning(x, MakeSeriesStats(y), 100.0, nullptr,
+                              CostKind::kSquared),
+            10.0);
+  // An empty candidate has no extrema: the trivial bound.
+  EXPECT_EQ(LbKeoghAbandoning(x, MakeSeriesStats(ts::TimeSeries{}), 0.5,
+                              &abandoned),
+            0.0);
   EXPECT_FALSE(abandoned);
 }
 

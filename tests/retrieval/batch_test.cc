@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <gtest/gtest.h>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "data/generators.h"
@@ -14,10 +16,12 @@ namespace sdtw {
 namespace retrieval {
 namespace {
 
-ts::Dataset SmallGun(std::size_t n = 16, std::size_t len = 100) {
+ts::Dataset SmallGun(std::size_t n = 16, std::size_t len = 100,
+                     bool z_normalize = true) {
   data::GeneratorOptions opt;
   opt.num_series = n;
   opt.length = len;
+  opt.z_normalize = z_normalize;
   return data::MakeGunLike(opt);
 }
 
@@ -27,14 +31,17 @@ std::vector<ts::TimeSeries> QueriesFrom(const ts::Dataset& ds,
 }
 
 // The k smallest (distance, index) pairs of a brute-force scan — what a
-// sequential in-order Query produces.
-std::vector<Hit> BruteForceTopK(const ts::Dataset& ds,
-                                const ts::TimeSeries& query, std::size_t k,
-                                std::optional<std::size_t> exclude) {
+// sequential in-order Query produces. `distance` defaults to exact DTW.
+std::vector<Hit> BruteForceTopK(
+    const ts::Dataset& ds, const ts::TimeSeries& query, std::size_t k,
+    std::optional<std::size_t> exclude,
+    const std::function<double(const ts::TimeSeries&,
+                               const ts::TimeSeries&)>& distance = nullptr) {
   std::vector<Hit> all;
   for (std::size_t i = 0; i < ds.size(); ++i) {
     if (exclude.has_value() && *exclude == i) continue;
-    const double d = dtw::DtwDistance(query, ds[i]);
+    const double d = distance ? distance(query, ds[i])
+                              : dtw::DtwDistance(query, ds[i]);
     if (std::isfinite(d)) all.push_back(Hit{i, d, ds[i].label()});
   }
   std::sort(all.begin(), all.end(), [](const Hit& a, const Hit& b) {
@@ -43,6 +50,34 @@ std::vector<Hit> BruteForceTopK(const ts::Dataset& ds,
   });
   if (all.size() > k) all.resize(k);
   return all;
+}
+
+// Bitwise hit-list equality (index, distance, label).
+void ExpectSameHits(const std::vector<Hit>& actual,
+                    const std::vector<Hit>& expected,
+                    const std::string& where) {
+  ASSERT_EQ(actual.size(), expected.size()) << where;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(actual[i].index, expected[i].index) << where << " rank " << i;
+    EXPECT_EQ(actual[i].distance, expected[i].distance)
+        << where << " rank " << i;
+    EXPECT_EQ(actual[i].label, expected[i].label) << where << " rank " << i;
+  }
+}
+
+// The outcome partition, and band_builds = the candidates that reached the
+// DP stage in sDTW mode (0 in every other mode).
+void ExpectCounterInvariants(const QueryStats& s, DistanceKind kind,
+                             const std::string& where) {
+  EXPECT_EQ(s.pruned_by_kim + s.pruned_by_keogh + s.pruned_by_early_abandon +
+                s.dp_evaluations,
+            s.candidates)
+      << where;
+  EXPECT_EQ(s.band_builds,
+            kind == DistanceKind::kSdtw
+                ? s.candidates - s.pruned_by_kim - s.pruned_by_keogh
+                : 0u)
+      << where;
 }
 
 TEST(BatchKnnEngineTest, EmptyBatchAndEmptyIndex) {
@@ -190,11 +225,12 @@ TEST(BatchKnnEngineTest, StatsCountersSumExactlyToCandidates) {
   // Every candidate must be accounted for by exactly one cascade outcome:
   // pruned by LB_Kim, pruned by LB_Keogh, early-abandoned, or fully
   // evaluated — across all modes, worker counts, visit orders, and both
-  // the distance-only and alignment-recovering entry points. On this
-  // equal-length set the Keogh stage is never skipped.
+  // the distance-only and alignment-recovering entry points. Only sDTW
+  // mode builds bands, one per candidate that passed both bounds.
   const ts::Dataset ds = SmallGun(24);
   for (const DistanceKind kind : {DistanceKind::kFullDtw,
-                                  DistanceKind::kSdtw}) {
+                                  DistanceKind::kSdtw,
+                                  DistanceKind::kEuclidean}) {
     for (const VisitOrder order :
          {VisitOrder::kIndexOrder, VisitOrder::kLowerBound,
           VisitOrder::kGlobalLowerBound}) {
@@ -221,14 +257,13 @@ TEST(BatchKnnEngineTest, StatsCountersSumExactlyToCandidates) {
           ASSERT_EQ(stats.size(), queries.size());
           for (std::size_t q = 0; q < stats.size(); ++q) {
             EXPECT_EQ(stats[q].candidates, ds.size() - 1) << q;
-            EXPECT_EQ(stats[q].pruned_by_kim + stats[q].pruned_by_keogh +
-                          stats[q].pruned_by_early_abandon +
-                          stats[q].dp_evaluations,
-                      stats[q].candidates)
-                << "mode " << static_cast<int>(kind) << " order "
-                << static_cast<int>(order) << " threads " << threads
-                << " alignments " << with_alignments << " query " << q;
-            EXPECT_EQ(stats[q].lb_keogh_skipped, 0u) << q;
+            ExpectCounterInvariants(
+                stats[q], kind,
+                "mode " + std::to_string(static_cast<int>(kind)) +
+                    " order " + std::to_string(static_cast<int>(order)) +
+                    " threads " + std::to_string(threads) + " alignments " +
+                    std::to_string(with_alignments) + " query " +
+                    std::to_string(q));
           }
         }
       }
@@ -532,16 +567,23 @@ TEST(BatchKnnEngineTest, KeoghAbandoningCountsAndPreservesHits) {
   }
 }
 
-TEST(BatchKnnEngineTest, MixedLengthIndexSkipsKeoghPerCandidate) {
-  // Regression: LB_Keogh is undefined across lengths (LbKeogh returns the
-  // trivial bound 0). Mismatched candidates must skip the stage, be
-  // counted as skipped, and still reach the DP — never be silently
-  // treated as Keogh-checked.
+TEST(BatchKnnEngineTest, MixedLengthIndexKeoghChecksEveryCandidate) {
+  // The full-span bound needs no equal lengths — every warp path visits
+  // every row of x and every column of y — so mixed-length candidates are
+  // Keogh-checked like any other. A query whose length matches no indexed
+  // series still gets candidates pruned by the stage, the outcome
+  // partition stays exact, and hits stay brute-force exact.
+  // Trace-like series: class-distinct levels give the full-span bound
+  // something to separate.
+  const auto trace = [](std::size_t n, std::size_t len) {
+    data::GeneratorOptions gopt;
+    gopt.num_series = n;
+    gopt.length = len;
+    return data::MakeTraceLike(gopt);
+  };
   ts::Dataset ds;
-  const ts::Dataset long_set = SmallGun(8, 100);
-  for (const auto& s : long_set) ds.Add(s);
-  const ts::Dataset short_set = SmallGun(6, 60);
-  for (const auto& s : short_set) ds.Add(s);
+  for (const auto& s : trace(8, 100)) ds.Add(s);
+  for (const auto& s : trace(6, 60)) ds.Add(s);
 
   for (const VisitOrder order :
        {VisitOrder::kIndexOrder, VisitOrder::kLowerBound,
@@ -552,12 +594,10 @@ TEST(BatchKnnEngineTest, MixedLengthIndexSkipsKeoghPerCandidate) {
     opt.visit_order = order;
     KnnEngine engine(opt);
     engine.Index(ds);
-    // Queries of length 100 (Keogh runs against the 8 long candidates,
-    // skips the 6 short ones) and of length 80 (matches nothing: the
-    // stage is skipped for all 14 candidates and no query envelope is
-    // ever consumed).
+    // Queries of length 100 (6 of 14 candidates differ in length) and of
+    // length 80 (all 14 differ).
     std::vector<ts::TimeSeries> queries = QueriesFrom(ds, 2);
-    queries.push_back(SmallGun(1, 80)[0]);
+    queries.push_back(trace(1, 80)[0]);
     for (const std::size_t threads : {1u, 4u}) {
       BatchOptions bopt;
       bopt.num_threads = threads;
@@ -566,30 +606,85 @@ TEST(BatchKnnEngineTest, MixedLengthIndexSkipsKeoghPerCandidate) {
       std::vector<QueryStats> stats;
       const auto hits = batch.QueryBatch(queries, 4, &stats);
       ASSERT_EQ(stats.size(), queries.size());
-      EXPECT_EQ(stats[0].lb_keogh_skipped, 6u) << threads;
-      EXPECT_EQ(stats[1].lb_keogh_skipped, 6u) << threads;
-      EXPECT_EQ(stats[2].lb_keogh_skipped, ds.size()) << threads;
-      for (std::size_t q = 0; q < stats.size(); ++q) {
-        EXPECT_EQ(stats[q].candidates, ds.size()) << q;
-        EXPECT_EQ(stats[q].pruned_by_kim + stats[q].pruned_by_keogh +
-                      stats[q].pruned_by_early_abandon +
-                      stats[q].dp_evaluations,
-                  stats[q].candidates)
-            << threads << " " << q;
+      if (threads == 1) {
+        // The one schedule-independent run: the query that matches no
+        // indexed length has candidates pruned by the Keogh stage.
+        EXPECT_GT(stats[2].pruned_by_keogh, 0u)
+            << "order " << static_cast<int>(order);
       }
-      // Hits stay exact: mismatched candidates went to the DP, not to a
-      // bogus prune.
-      for (std::size_t q = 0; q < queries.size(); ++q) {
-        const auto expected =
-            BruteForceTopK(ds, queries[q], 4, std::nullopt);
-        ASSERT_EQ(hits[q].size(), expected.size()) << threads << " " << q;
-        for (std::size_t i = 0; i < expected.size(); ++i) {
-          EXPECT_EQ(hits[q][i].index, expected[i].index)
-              << threads << " " << q;
-          EXPECT_EQ(hits[q][i].distance, expected[i].distance)
-              << threads << " " << q;
+      for (std::size_t q = 0; q < stats.size(); ++q) {
+        const std::string where =
+            std::to_string(threads) + " " + std::to_string(q);
+        EXPECT_EQ(stats[q].candidates, ds.size()) << where;
+        ExpectCounterInvariants(stats[q], opt.distance, where);
+        ExpectSameHits(hits[q], BruteForceTopK(ds, queries[q], 4, std::nullopt),
+                       where);
+      }
+    }
+  }
+}
+
+TEST(BatchKnnEngineTest, SdtwKeoghStageKeepsHitsBitwise) {
+  // sDTW >= DTW >= the full-span LB_Keogh for either cost, so running the
+  // stage before BuildBand must leave every hit list bitwise equal to the
+  // scan without it and to a brute-force sDTW scan, under every visit
+  // order and thread count — while pruning candidates before any band is
+  // built.
+  // Raw amplitudes: z-normalised Gun-like series all span about the same
+  // range, where the full-span bound is near zero and never prunes.
+  const ts::Dataset ds = SmallGun(24, 100, /*z_normalize=*/false);
+  const std::vector<ts::TimeSeries> queries = QueriesFrom(ds, 6);
+  std::vector<std::optional<std::size_t>> excludes;
+  for (std::size_t q = 0; q < queries.size(); ++q) excludes.push_back(q);
+  for (const dtw::CostKind cost :
+       {dtw::CostKind::kAbsolute, dtw::CostKind::kSquared}) {
+    KnnOptions opt;
+    opt.distance = DistanceKind::kSdtw;
+    opt.sdtw.dtw.cost = cost;
+    opt.sdtw.dtw.want_path = false;
+    const core::Sdtw reference(opt.sdtw);
+    std::vector<std::vector<Hit>> expected;
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      expected.push_back(BruteForceTopK(
+          ds, queries[q], 3, excludes[q],
+          [&reference](const ts::TimeSeries& a, const ts::TimeSeries& b) {
+            return reference.Compare(a, b).distance;
+          }));
+    }
+    for (const VisitOrder order :
+         {VisitOrder::kIndexOrder, VisitOrder::kLowerBound,
+          VisitOrder::kGlobalLowerBound}) {
+      opt.visit_order = order;
+      opt.use_lb_keogh = true;
+      KnnEngine keogh_engine(opt);
+      keogh_engine.Index(ds);
+      opt.use_lb_keogh = false;
+      KnnEngine plain_engine(opt);
+      plain_engine.Index(ds);
+      QueryStats total;
+      for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+        BatchOptions bopt;
+        bopt.num_threads = threads;
+        bopt.chunk_size = 5;
+        std::vector<QueryStats> stats;
+        const auto keogh_hits = BatchKnnEngine(keogh_engine, bopt)
+                                    .QueryBatch(queries, 3, excludes, &stats);
+        const auto plain_hits = BatchKnnEngine(plain_engine, bopt)
+                                    .QueryBatch(queries, 3, excludes);
+        for (std::size_t q = 0; q < queries.size(); ++q) {
+          const std::string where =
+              "cost " + std::to_string(static_cast<int>(cost)) + " order " +
+              std::to_string(static_cast<int>(order)) + " threads " +
+              std::to_string(threads) + " query " + std::to_string(q);
+          ExpectSameHits(keogh_hits[q], plain_hits[q], where);
+          ExpectSameHits(keogh_hits[q], expected[q], where);
+          ExpectCounterInvariants(stats[q], DistanceKind::kSdtw, where);
+          total.Merge(stats[q]);
         }
       }
+      EXPECT_GT(total.pruned_by_keogh, 0u)
+          << "cost " << static_cast<int>(cost) << " order "
+          << static_cast<int>(order);
     }
   }
 }
