@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
+#include <limits>
 
 #include "ts/stats.h"
 
@@ -31,27 +31,48 @@ void ClampScope(const sift::Keypoint& kp, std::size_t len, double* start,
   *end = std::clamp(kp.position + kp.scope_radius(), 0.0, maxi);
 }
 
-// Ordered multiset of committed boundary time points for one series, with
-// the hypothetical-insertion rank queries the pruning loop needs.
-class BoundaryList {
- public:
-  // Rank the value would take if inserted: number of committed values
-  // strictly smaller. Equal values share a rank (paper footnote 1: ties on
-  // identical time values are treated as compatible).
-  std::size_t RankOf(double v) const {
-    std::size_t r = 0;
-    for (double c : committed_) {
-      if (c < v - kTieEps) ++r;
-    }
-    return r;
+// Rank a boundary at `v` would take among the boundaries already committed
+// on one series (the start and end of every kept pair): the number
+// strictly smaller. Equal values share a rank (paper footnote 1: ties on
+// identical time values are treated as compatible).
+std::size_t RankOf(const std::vector<AlignedPair>& kept,
+                   double AlignedPair::*start, double AlignedPair::*end,
+                   double v) {
+  constexpr double kTieEps = 1e-9;
+  std::size_t r = 0;
+  for (const AlignedPair& p : kept) {
+    if (p.*start < v - kTieEps) ++r;
+    if (p.*end < v - kTieEps) ++r;
   }
+  return r;
+}
 
-  void Insert(double v) { committed_.insert(v); }
+// True when a kept pair already uses the candidate's X or Y feature.
+bool UsesFeature(const std::vector<AlignedPair>& kept, const MatchPair& m) {
+  return std::any_of(kept.begin(), kept.end(), [&](const AlignedPair& p) {
+    return p.index_x == m.index_x || p.index_y == m.index_y;
+  });
+}
 
- private:
-  static constexpr double kTieEps = 1e-9;
-  std::multiset<double> committed_;
-};
+// Sample index of a committed boundary on a series of `len` samples.
+std::size_t CutAt(double boundary, std::size_t len) {
+  return static_cast<std::size_t>(std::clamp(
+      std::llround(boundary), 0LL, static_cast<long long>(len - 1)));
+}
+
+// Sorts one cut field of `intervals` ascending, in place. Cuts are plain
+// integers, so any sort gives the same sequence.
+void SortCuts(std::vector<IntervalPair>& intervals,
+              std::size_t IntervalPair::*cut) {
+  for (std::size_t k = 1; k < intervals.size(); ++k) {
+    const std::size_t v = intervals[k].*cut;
+    std::size_t pos = k;
+    for (; pos > 0 && intervals[pos - 1].*cut > v; --pos) {
+      intervals[pos].*cut = intervals[pos - 1].*cut;
+    }
+    intervals[pos].*cut = v;
+  }
+}
 
 }  // namespace
 
@@ -77,64 +98,74 @@ std::vector<AlignedPair> PruneInconsistent(
     const std::vector<sift::Keypoint>& keypoints_x,
     const std::vector<sift::Keypoint>& keypoints_y,
     const std::vector<MatchPair>& pairs, const ConsistencyOptions& options) {
-  std::vector<AlignedPair> result;
-  if (pairs.empty()) return result;
+  std::vector<ScoredPair> candidates;
+  std::vector<AlignedPair> kept;
+  PruneInconsistent(x, y, keypoints_x, keypoints_y, pairs, options,
+                    &candidates, &kept);
+  return kept;
+}
+
+void PruneInconsistent(const ts::TimeSeries& x, const ts::TimeSeries& y,
+                       const std::vector<sift::Keypoint>& keypoints_x,
+                       const std::vector<sift::Keypoint>& keypoints_y,
+                       const std::vector<MatchPair>& pairs,
+                       const ConsistencyOptions& options,
+                       std::vector<ScoredPair>* candidates,
+                       std::vector<AlignedPair>* kept) {
+  kept->clear();
+  candidates->clear();
+  if (pairs.empty()) return;
+  std::vector<ScoredPair>& cands = *candidates;
+  cands.reserve(pairs.size());
+  kept->reserve(pairs.size());
 
   // Step 1: raw scores.
-  struct Candidate {
-    MatchPair match;
-    PairScores scores;
-    double mu_sim = 0.0;
-    double mu_comb = 0.0;
-  };
-  std::vector<Candidate> cands;
-  cands.reserve(pairs.size());
   double mu_desc_min = std::numeric_limits<double>::infinity();
   for (const MatchPair& p : pairs) {
     if (p.index_x >= keypoints_x.size() || p.index_y >= keypoints_y.size()) {
       continue;
     }
-    Candidate c;
+    ScoredPair c;
     c.match = p;
     c.scores = ScorePair(x, y, keypoints_x[p.index_x], keypoints_y[p.index_y],
                          p.descriptor_distance);
     mu_desc_min = std::min(mu_desc_min, c.scores.mu_desc);
-    cands.push_back(std::move(c));
+    cands.push_back(c);
   }
-  if (cands.empty()) return result;
+  if (cands.empty()) return;
   if (mu_desc_min <= 0.0) mu_desc_min = 1e-12;
 
   // µ_sim = (µ_desc / µ_desc_min) × (1 − Δ_amp); then normalise both scores
   // by their maxima and combine with the F-measure.
   double max_align = 0.0;
   double max_sim = 0.0;
-  for (Candidate& c : cands) {
+  for (ScoredPair& c : cands) {
     c.mu_sim = (c.scores.mu_desc / mu_desc_min) * (1.0 - c.scores.delta_amp);
     max_align = std::max(max_align, c.scores.mu_align);
     max_sim = std::max(max_sim, c.mu_sim);
   }
   if (max_align <= 0.0) max_align = 1.0;
   if (max_sim <= 0.0) max_sim = 1.0;
-  for (Candidate& c : cands) {
+  for (ScoredPair& c : cands) {
     const double ns_align = c.scores.mu_align / max_align;
     const double ns_sim = c.mu_sim / max_sim;
     const double denom = ns_align + ns_sim;
     c.mu_comb = denom > 0.0 ? 2.0 * ns_align * ns_sim / denom : 0.0;
   }
 
-  // Step 2: greedy commit in descending µ_comb order.
-  std::stable_sort(cands.begin(), cands.end(),
-                   [](const Candidate& a, const Candidate& b) {
-                     return a.mu_comb > b.mu_comb;
-                   });
-  BoundaryList order_x, order_y;
-  std::set<std::size_t> used_x, used_y;
-  for (const Candidate& c : cands) {
-    if (options.unique_features) {
-      if (used_x.count(c.match.index_x) || used_y.count(c.match.index_y)) {
-        continue;
-      }
+  // Step 2: greedy commit in descending µ_comb order, ties in match
+  // order. A stable sort's output is unique, so this in-place insertion
+  // sort orders exactly as std::stable_sort (which allocates a buffer).
+  for (std::size_t k = 1; k < cands.size(); ++k) {
+    const ScoredPair c = cands[k];
+    std::size_t pos = k;
+    for (; pos > 0 && c.mu_comb > cands[pos - 1].mu_comb; --pos) {
+      cands[pos] = cands[pos - 1];
     }
+    cands[pos] = c;
+  }
+  for (const ScoredPair& c : cands) {
+    if (options.unique_features && UsesFeature(*kept, c.match)) continue;
     const sift::Keypoint& fx = keypoints_x[c.match.index_x];
     const sift::Keypoint& fy = keypoints_y[c.match.index_y];
     AlignedPair ap;
@@ -146,86 +177,71 @@ std::vector<AlignedPair> PruneInconsistent(
     ap.mu_sim = c.mu_sim;
     ap.mu_comb = c.mu_comb;
 
-    // Hypothetical insertion ranks. The start and end of the same feature
-    // are inserted together, so the end's rank counts the start as already
-    // present when start < end.
-    const std::size_t rank_st_x = order_x.RankOf(ap.start_x);
-    const std::size_t rank_st_y = order_y.RankOf(ap.start_y);
-    std::size_t rank_end_x = order_x.RankOf(ap.end_x);
-    std::size_t rank_end_y = order_y.RankOf(ap.end_y);
+    // Hypothetical insertion ranks among the kept pairs' boundaries. The
+    // start and end of the same feature are inserted together, so the
+    // end's rank counts the start as already present when start < end.
+    const std::size_t rank_st_x =
+        RankOf(*kept, &AlignedPair::start_x, &AlignedPair::end_x, ap.start_x);
+    const std::size_t rank_st_y =
+        RankOf(*kept, &AlignedPair::start_y, &AlignedPair::end_y, ap.start_y);
+    std::size_t rank_end_x =
+        RankOf(*kept, &AlignedPair::start_x, &AlignedPair::end_x, ap.end_x);
+    std::size_t rank_end_y =
+        RankOf(*kept, &AlignedPair::start_y, &AlignedPair::end_y, ap.end_y);
     if (ap.start_x < ap.end_x) ++rank_end_x;
     if (ap.start_y < ap.end_y) ++rank_end_y;
 
     if (rank_st_x == rank_st_y && rank_end_x == rank_end_y) {
-      order_x.Insert(ap.start_x);
-      order_x.Insert(ap.end_x);
-      order_y.Insert(ap.start_y);
-      order_y.Insert(ap.end_y);
-      used_x.insert(ap.index_x);
-      used_y.insert(ap.index_y);
-      result.push_back(std::move(ap));
+      kept->push_back(ap);
     }
     // Else: drop the pair; its boundaries are not committed.
   }
 
-  std::sort(result.begin(), result.end(),
+  std::sort(kept->begin(), kept->end(),
             [](const AlignedPair& a, const AlignedPair& b) {
               return a.start_x < b.start_x;
             });
-  return result;
 }
 
 std::vector<IntervalPair> BuildIntervals(
     std::size_t len_x, std::size_t len_y,
     const std::vector<AlignedPair>& pairs) {
   std::vector<IntervalPair> intervals;
-  if (len_x == 0 || len_y == 0) return intervals;
-
-  // Collect committed boundaries (they are rank-consistent by construction,
-  // so sorting each side independently preserves the correspondence).
-  std::vector<double> bx, by;
-  bx.reserve(pairs.size() * 2);
-  by.reserve(pairs.size() * 2);
-  for (const AlignedPair& p : pairs) {
-    bx.push_back(p.start_x);
-    bx.push_back(p.end_x);
-    by.push_back(p.start_y);
-    by.push_back(p.end_y);
-  }
-  std::sort(bx.begin(), bx.end());
-  std::sort(by.begin(), by.end());
-
-  // Cut points: 0, boundaries, len-1 (in samples, rounded).
-  auto cuts = [](const std::vector<double>& b, std::size_t len) {
-    std::vector<std::size_t> c;
-    c.push_back(0);
-    for (double v : b) {
-      const std::size_t s = static_cast<std::size_t>(
-          std::clamp(std::llround(v), 0LL, static_cast<long long>(len - 1)));
-      c.push_back(s);
-    }
-    c.push_back(len - 1);
-    // Keep monotone (duplicates allowed; they become empty intervals the
-    // band builders must bridge).
-    for (std::size_t i = 1; i < c.size(); ++i) {
-      c[i] = std::max(c[i], c[i - 1]);
-    }
-    return c;
-  };
-  const std::vector<std::size_t> cx = cuts(bx, len_x);
-  const std::vector<std::size_t> cy = cuts(by, len_y);
-  // Same boundary count on both sides by construction.
-  const std::size_t segments = cx.size() - 1;
-  intervals.reserve(segments);
-  for (std::size_t k = 0; k < segments; ++k) {
-    IntervalPair ip;
-    ip.begin_x = cx[k];
-    ip.end_x = std::max(cx[k + 1], cx[k]);
-    ip.begin_y = cy[k];
-    ip.end_y = std::max(cy[k + 1], cy[k]);
-    intervals.push_back(ip);
-  }
+  BuildIntervals(len_x, len_y, pairs, &intervals);
   return intervals;
+}
+
+void BuildIntervals(std::size_t len_x, std::size_t len_y,
+                    const std::vector<AlignedPair>& pairs,
+                    std::vector<IntervalPair>* intervals) {
+  intervals->clear();
+  if (len_x == 0 || len_y == 0) return;
+
+  // Each series is cut at 0, at every committed boundary (rounded to a
+  // sample) and at len-1; interval k runs from cut k to cut k+1. The
+  // boundaries are rank-consistent by construction, so sorting each
+  // side's cuts independently preserves the correspondence. Rounding is
+  // monotone, so sorting the rounded cuts orders them as sorting the
+  // boundaries would. Equal cuts give empty intervals the band builders
+  // must bridge.
+  std::vector<IntervalPair>& iv = *intervals;
+  iv.resize(2 * pairs.size() + 1);
+  iv[0].begin_x = 0;
+  iv[0].begin_y = 0;
+  for (std::size_t p = 0; p < pairs.size(); ++p) {
+    iv[2 * p + 1].begin_x = CutAt(pairs[p].start_x, len_x);
+    iv[2 * p + 2].begin_x = CutAt(pairs[p].end_x, len_x);
+    iv[2 * p + 1].begin_y = CutAt(pairs[p].start_y, len_y);
+    iv[2 * p + 2].begin_y = CutAt(pairs[p].end_y, len_y);
+  }
+  SortCuts(iv, &IntervalPair::begin_x);
+  SortCuts(iv, &IntervalPair::begin_y);
+  for (std::size_t k = 0; k + 1 < iv.size(); ++k) {
+    iv[k].end_x = iv[k + 1].begin_x;
+    iv[k].end_y = iv[k + 1].begin_y;
+  }
+  iv.back().end_x = len_x - 1;
+  iv.back().end_y = len_y - 1;
 }
 
 }  // namespace align

@@ -73,6 +73,26 @@ std::vector<AlignedPair> PruneInconsistent(
     const std::vector<MatchPair>& pairs,
     const ConsistencyOptions& options = {});
 
+/// \brief A matched pair with its scores: the working set of
+/// PruneInconsistent.
+struct ScoredPair {
+  MatchPair match;
+  PairScores scores;
+  double mu_sim = 0.0;
+  double mu_comb = 0.0;
+};
+
+/// PruneInconsistent into `*kept` (replaced), with `*candidates` as working
+/// storage. Both keep their capacity, so once they have held |pairs|
+/// entries the call is allocation-free.
+void PruneInconsistent(const ts::TimeSeries& x, const ts::TimeSeries& y,
+                       const std::vector<sift::Keypoint>& keypoints_x,
+                       const std::vector<sift::Keypoint>& keypoints_y,
+                       const std::vector<MatchPair>& pairs,
+                       const ConsistencyOptions& options,
+                       std::vector<ScoredPair>* candidates,
+                       std::vector<AlignedPair>* kept);
+
 /// \brief One pair of corresponding intervals of the partition induced by
 /// the committed scope boundaries (Figure 9: intervals A..K).
 struct IntervalPair {
@@ -93,6 +113,11 @@ struct IntervalPair {
 /// degrades adaptive constraints to their fixed counterparts gracefully).
 std::vector<IntervalPair> BuildIntervals(std::size_t len_x, std::size_t len_y,
                                          const std::vector<AlignedPair>& pairs);
+
+/// BuildIntervals into `*intervals` (replaced), reusing its capacity.
+void BuildIntervals(std::size_t len_x, std::size_t len_y,
+                    const std::vector<AlignedPair>& pairs,
+                    std::vector<IntervalPair>* intervals);
 
 }  // namespace align
 }  // namespace sdtw

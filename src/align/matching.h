@@ -65,6 +65,13 @@ std::vector<MatchPair> FindDominantPairs(
     const MatchingOptions& options = {}, std::size_t len_x = 0,
     std::size_t len_y = 0);
 
+/// FindDominantPairs into `*pairs` (replaced), reusing its capacity: a
+/// vector that once held |SX| pairs makes the call allocation-free.
+void FindDominantPairs(const std::vector<sift::Keypoint>& keypoints_x,
+                       const std::vector<sift::Keypoint>& keypoints_y,
+                       const MatchingOptions& options, std::size_t len_x,
+                       std::size_t len_y, std::vector<MatchPair>* pairs);
+
 /// Euclidean distance between two descriptors (infinity on length
 /// mismatch).
 double DescriptorDistance(const std::vector<double>& a,

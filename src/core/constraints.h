@@ -68,9 +68,13 @@ struct ConstraintOptions {
 
 /// Computes, for every point i of X, the core column (candidate point y_j)
 /// implied by the interval partition: linear interpolation between the
-/// matched interval endpoints (§3.3.2). Empty Y-intervals map the whole
-/// X-interval onto the interval's start point; empty X-intervals contribute
-/// no rows (their gap is bridged later).
+/// matched interval endpoints (§3.3.2). Intervals are applied in order, so
+/// a later interval overwrites the rows it shares with an earlier one.
+/// Empty Y-intervals map the whole X-interval onto the interval's start
+/// point. A degenerate X-interval (one row) maps that row onto the
+/// midpoint of its Y-interval; the vertical gap this leaves is bridged
+/// later. The first and last rows are anchored to the grid corners. With
+/// no intervals the core is DiagonalCore.
 std::vector<double> AdaptiveCore(std::size_t n, std::size_t m,
                                  const std::vector<align::IntervalPair>& intervals);
 
@@ -92,6 +96,19 @@ std::vector<double> AdaptiveWidths(
 dtw::Band BuildConstraintBand(std::size_t n, std::size_t m,
                               const std::vector<align::IntervalPair>& intervals,
                               const ConstraintOptions& options);
+
+/// The X-driven band BuildConstraintBand builds with options.symmetric
+/// off, written into `*band` in one pass over its rows and reusing its
+/// row storage (see dtw::Band::Assign).
+void BuildDirectedBand(std::size_t n, std::size_t m,
+                       const std::vector<align::IntervalPair>& intervals,
+                       const ConstraintOptions& options, dtw::Band* band);
+
+/// Paper §3.3.3's symmetric combined band: unions `*band` with the
+/// transpose of the Y-driven band `yx_band` (each made feasible), using
+/// `*transposed` as storage for the transpose.
+void UnionWithTransposed(const dtw::Band& yx_band, dtw::Band* transposed,
+                         dtw::Band* band);
 
 }  // namespace core
 }  // namespace sdtw

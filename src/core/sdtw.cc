@@ -1,5 +1,6 @@
 #include "core/sdtw.h"
 
+#include <algorithm>
 #include <chrono>
 
 namespace sdtw {
@@ -25,53 +26,37 @@ std::vector<sift::Keypoint> Sdtw::ExtractFeatures(
 namespace {
 
 // One directed run of the alignment pipeline: matching, inconsistency
-// pruning, interval extraction, band construction. The symmetric flag is
-// stripped — symmetrisation happens at the Sdtw level by running the
+// pruning, interval extraction, band construction, into `band` and the
+// scratch's pair, alignment and interval buffers. The symmetric flag is
+// ignored — symmetrisation happens at the Sdtw level by running the
 // pipeline in both directions (matching itself is directional, §3.3.3).
-struct DirectedAlignment {
-  std::vector<align::AlignedPair> alignments;
-  std::vector<align::IntervalPair> intervals;
-  dtw::Band band;
-};
-
-DirectedAlignment RunDirected(const ts::TimeSeries& x,
-                              const std::vector<sift::Keypoint>& features_x,
-                              const ts::TimeSeries& y,
-                              const std::vector<sift::Keypoint>& features_y,
-                              const SdtwOptions& options) {
-  DirectedAlignment out;
+void RunDirected(const ts::TimeSeries& x,
+                 const std::vector<sift::Keypoint>& features_x,
+                 const ts::TimeSeries& y,
+                 const std::vector<sift::Keypoint>& features_y,
+                 const SdtwOptions& options, BandScratch& scratch,
+                 dtw::Band* band) {
   if (options.constraint.type == ConstraintType::kFixedCoreFixedWidth) {
     // Pure Sakoe-Chiba: no salient-feature evidence is consumed, so skip
     // matching entirely (the paper's fc,fw baseline has no matching
     // overhead, §4.4 / Figure 17). The interval partition degenerates to
     // the single full-range interval.
-    out.intervals = align::BuildIntervals(x.size(), y.size(), {});
-    out.band = dtw::SakoeChibaBand(x.size(), y.size(),
-                                   options.constraint.fixed_width_fraction);
-    return out;
+    scratch.alignments.clear();
+    align::BuildIntervals(x.size(), y.size(), scratch.alignments,
+                          &scratch.intervals);
+    dtw::SakoeChibaBand(x.size(), y.size(),
+                        options.constraint.fixed_width_fraction, band);
+    return;
   }
-  const std::vector<align::MatchPair> pairs = align::FindDominantPairs(
-      features_x, features_y, options.matching, x.size(), y.size());
-  out.alignments = align::PruneInconsistent(x, y, features_x, features_y,
-                                            pairs, options.consistency);
-  out.intervals = align::BuildIntervals(x.size(), y.size(), out.alignments);
-  ConstraintOptions directed = options.constraint;
-  directed.symmetric = false;
-  out.band =
-      BuildConstraintBand(x.size(), y.size(), out.intervals, directed);
-  return out;
-}
-
-// Unions the X-driven band with the transpose of the Y-driven band
-// (paper §3.3.3: "a combined band, including grid-cell positions required
-// by both series X and Y").
-dtw::Band Symmetrize(const dtw::Band& xy_band, const dtw::Band& yx_band) {
-  dtw::Band combined = xy_band;
-  dtw::Band transposed = yx_band.Transpose();
-  transposed.MakeFeasible();
-  combined.UnionWith(transposed);
-  combined.MakeFeasible();
-  return combined;
+  align::FindDominantPairs(features_x, features_y, options.matching,
+                           x.size(), y.size(), &scratch.pairs);
+  align::PruneInconsistent(x, y, features_x, features_y, scratch.pairs,
+                           options.consistency, &scratch.candidates,
+                           &scratch.alignments);
+  align::BuildIntervals(x.size(), y.size(), scratch.alignments,
+                        &scratch.intervals);
+  BuildDirectedBand(x.size(), y.size(), scratch.intervals,
+                    options.constraint, band);
 }
 
 }  // namespace
@@ -80,12 +65,37 @@ dtw::Band Sdtw::BuildBand(
     const ts::TimeSeries& x, const std::vector<sift::Keypoint>& features_x,
     const ts::TimeSeries& y,
     const std::vector<sift::Keypoint>& features_y) const {
-  DirectedAlignment forward = RunDirected(x, features_x, y, features_y,
-                                          options_);
-  if (!options_.constraint.symmetric) return std::move(forward.band);
-  const DirectedAlignment backward =
-      RunDirected(y, features_y, x, features_x, options_);
-  return Symmetrize(forward.band, backward.band);
+  BandScratch scratch;
+  BuildBand(x, features_x, y, features_y, scratch);
+  return std::move(scratch.band);
+}
+
+const dtw::Band& Sdtw::BuildBand(
+    const ts::TimeSeries& x, const std::vector<sift::Keypoint>& features_x,
+    const ts::TimeSeries& y, const std::vector<sift::Keypoint>& features_y,
+    BandScratch& scratch) const {
+  // Size the pair and interval buffers for the larger direction up front
+  // (at most one pair per feature, 2·pairs + 1 intervals), so one build
+  // on the largest pair warms the scratch for every smaller one.
+  const std::size_t features = std::max(features_x.size(), features_y.size());
+  scratch.pairs.reserve(features);
+  scratch.candidates.reserve(features);
+  scratch.alignments.reserve(features);
+  scratch.intervals.reserve(2 * features + 1);
+  if (options_.constraint.symmetric) {
+    // The Y-driven direction runs first, so the scratch ends up holding
+    // the X-driven alignments and intervals.
+    RunDirected(y, features_y, x, features_x, options_, scratch,
+                &scratch.reverse);
+  }
+  RunDirected(x, features_x, y, features_y, options_, scratch,
+              &scratch.band);
+  if (options_.constraint.symmetric) {
+    // Paper §3.3.3: "a combined band, including grid-cell positions
+    // required by both series X and Y".
+    UnionWithTransposed(scratch.reverse, &scratch.transposed, &scratch.band);
+  }
+  return scratch.band;
 }
 
 SdtwResult Sdtw::Compare(
@@ -110,17 +120,11 @@ SdtwResult Sdtw::CompareImpl(
   SdtwResult result;
   const auto t0 = std::chrono::steady_clock::now();
 
-  DirectedAlignment forward =
-      RunDirected(x, features_x, y, features_y, options_);
-  result.alignments = std::move(forward.alignments);
-  result.intervals = std::move(forward.intervals);
-  if (options_.constraint.symmetric) {
-    const DirectedAlignment backward =
-        RunDirected(y, features_y, x, features_x, options_);
-    result.band = Symmetrize(forward.band, backward.band);
-  } else {
-    result.band = std::move(forward.band);
-  }
+  BandScratch scratch;
+  BuildBand(x, features_x, y, features_y, scratch);
+  result.alignments = std::move(scratch.alignments);
+  result.intervals = std::move(scratch.intervals);
+  result.band = std::move(scratch.band);
   result.timing.matching_seconds = SecondsSince(t0);
 
   // The banded DP uses band-compressed storage (rolling band-width rows

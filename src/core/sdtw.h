@@ -72,6 +72,34 @@ struct SdtwOptions {
   dtw::DtwOptions dtw;
 };
 
+/// \brief Caller-owned working storage of Sdtw::BuildBand: the matched,
+/// scored and kept pairs, the interval partition and the bands of one
+/// band build.
+///
+/// Every buffer keeps its capacity across builds. After one warm-up build
+/// on the longest series and the most features a caller will use, a
+/// BuildBand into the same scratch performs no heap allocation — this is
+/// what keeps a retrieval worker's sDTW hot loop allocation-free. A
+/// scratch is not thread-safe: give each thread its own.
+struct BandScratch {
+  /// \name Results of the last build
+  /// `band` is the band BuildBand returned; `alignments` and `intervals`
+  /// are those of its X-driven direction (what SdtwResult reports).
+  /// @{
+  dtw::Band band;
+  std::vector<align::AlignedPair> alignments;
+  std::vector<align::IntervalPair> intervals;
+  /// @}
+
+  /// \name Working storage
+  /// @{
+  std::vector<align::MatchPair> pairs;
+  std::vector<align::ScoredPair> candidates;
+  dtw::Band reverse;     ///< Symmetric mode: the Y-driven band.
+  dtw::Band transposed;  ///< Symmetric mode: its transpose.
+  /// @}
+};
+
 /// \brief The sDTW engine.
 ///
 /// Thread-compatible: const methods are safe to call concurrently from
@@ -117,6 +145,16 @@ class Sdtw {
                       const std::vector<sift::Keypoint>& features_x,
                       const ts::TimeSeries& y,
                       const std::vector<sift::Keypoint>& features_y) const;
+
+  /// BuildBand into `scratch`, reusing its storage (allocation-free once
+  /// warm, see BandScratch). Returns scratch.band, valid until the
+  /// scratch's next use. The value-returning BuildBand and Compare run
+  /// this same pipeline.
+  const dtw::Band& BuildBand(const ts::TimeSeries& x,
+                             const std::vector<sift::Keypoint>& features_x,
+                             const ts::TimeSeries& y,
+                             const std::vector<sift::Keypoint>& features_y,
+                             BandScratch& scratch) const;
 
  private:
   SdtwResult CompareImpl(const ts::TimeSeries& x,

@@ -26,6 +26,11 @@ Band Band::FromRows(std::vector<BandRow> rows, std::size_t m) {
   return b;
 }
 
+void Band::Assign(std::size_t n, std::size_t m, BandRow fill) {
+  rows_.assign(n, fill);
+  m_ = m;
+}
+
 std::size_t Band::CellCount() const {
   std::size_t total = 0;
   for (const BandRow& r : rows_) total += r.width();
@@ -121,18 +126,26 @@ bool Band::UnionWith(const Band& other) {
 
 Band Band::Transpose() const {
   Band t;
-  t.m_ = rows_.size();
-  if (m_ == 0 || rows_.empty()) return t;
-  // Start with inverted (empty) rows: lo = m-1 (of the transposed grid),
-  // hi = 0, then grow them.
-  t.rows_.assign(m_, BandRow{t.m_ - 1, 0});
-  for (std::size_t i = 0; i < rows_.size(); ++i) {
+  TransposeInto(&t);
+  return t;
+}
+
+void Band::TransposeInto(Band* out) const {
+  const std::size_t n = rows_.size();
+  if (m_ == 0 || n == 0) {
+    out->Assign(0, n, BandRow{});
+    return;
+  }
+  // Start with inverted (empty) rows: lo = n-1 (the last column of the
+  // transposed grid), hi = 0, then grow them.
+  out->Assign(m_, n, BandRow{n - 1, 0});
+  std::vector<BandRow>& t = out->rows_;
+  for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = rows_[i].lo; j <= rows_[i].hi && j < m_; ++j) {
-      t.rows_[j].lo = std::min(t.rows_[j].lo, i);
-      t.rows_[j].hi = std::max(t.rows_[j].hi, i);
+      t[j].lo = std::min(t[j].lo, i);
+      t[j].hi = std::max(t[j].hi, i);
     }
   }
-  return t;
 }
 
 std::string Band::ToAscii() const {
@@ -148,7 +161,17 @@ std::string Band::ToAscii() const {
 }
 
 Band SakoeChibaBand(std::size_t n, std::size_t m, double width_fraction) {
-  if (n == 0 || m == 0) return Band();
+  Band band;
+  SakoeChibaBand(n, m, width_fraction, &band);
+  return band;
+}
+
+void SakoeChibaBand(std::size_t n, std::size_t m, double width_fraction,
+                    Band* band) {
+  if (n == 0 || m == 0) {
+    band->Assign(0, 0, BandRow{});
+    return;
+  }
   width_fraction = std::max(width_fraction, 0.0);
   // Minimal half-width keeping consecutive rows connected on rectangular
   // grids (the diagonal advances by (m-1)/(n-1) columns per row); without
@@ -159,7 +182,8 @@ Band SakoeChibaBand(std::size_t n, std::size_t m, double width_fraction) {
             : 0.0;
   const double half_width = std::max(
       std::ceil(width_fraction * static_cast<double>(m) / 2.0), slope);
-  std::vector<BandRow> rows(n);
+  // MakeFeasible() below clamps the rows as FromRows() would.
+  band->Assign(n, m, BandRow{});
   for (std::size_t i = 0; i < n; ++i) {
     // Scaled diagonal core: j* = i * (M-1)/(N-1).
     const double core =
@@ -168,19 +192,18 @@ Band SakoeChibaBand(std::size_t n, std::size_t m, double width_fraction) {
               : 0.0;
     const double lo = core - half_width;
     const double hi = core + half_width;
-    rows[i].lo = lo <= 0.0 ? 0 : static_cast<std::size_t>(std::ceil(lo));
-    rows[i].hi = hi >= static_cast<double>(m - 1)
-                     ? m - 1
-                     : static_cast<std::size_t>(std::floor(hi));
-    if (rows[i].lo > rows[i].hi) {
+    BandRow& row = band->mutable_row(i);
+    row.lo = lo <= 0.0 ? 0 : static_cast<std::size_t>(std::ceil(lo));
+    row.hi = hi >= static_cast<double>(m - 1)
+                 ? m - 1
+                 : static_cast<std::size_t>(std::floor(hi));
+    if (row.lo > row.hi) {
       const std::size_t c = std::min(
           m - 1, static_cast<std::size_t>(std::llround(core)));
-      rows[i].lo = rows[i].hi = c;
+      row.lo = row.hi = c;
     }
   }
-  Band b = Band::FromRows(std::move(rows), m);
-  b.MakeFeasible();
-  return b;
+  band->MakeFeasible();
 }
 
 Band ItakuraBand(std::size_t n, std::size_t m, double max_slope) {

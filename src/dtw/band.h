@@ -47,6 +47,13 @@ class Band {
   /// MakeFeasible() before running the DP.
   static Band FromRows(std::vector<BandRow> rows, std::size_t m);
 
+  /// Reshapes the band in place to an n×m grid with every row set to
+  /// `fill`, keeping the row storage: a band refilled for each new pair
+  /// allocates only when n exceeds every row count it held before.
+  /// Rows are not clamped; callers write in-range rows and call
+  /// MakeFeasible() before running the DP.
+  void Assign(std::size_t n, std::size_t m, BandRow fill);
+
   /// Number of rows (length of X).
   std::size_t n() const { return rows_.size(); }
   /// Number of columns (length of Y).
@@ -99,6 +106,9 @@ class Band {
   /// no cells are inverted and require MakeFeasible().
   Band Transpose() const;
 
+  /// Transpose() into `*out`, reusing its row storage (see Assign).
+  void TransposeInto(Band* out) const;
+
   /// Multi-line ASCII rendering ('#' in-band, '.' out), top row = last i.
   /// Intended for examples/debugging on small grids.
   std::string ToAscii() const;
@@ -115,6 +125,10 @@ class Band {
 /// compared against (the paper's w%: 0.06, 0.10, 0.20); the half-width is
 /// ceil(width_fraction * M / 2) around the scaled diagonal.
 Band SakoeChibaBand(std::size_t n, std::size_t m, double width_fraction);
+
+/// SakoeChibaBand into `*band`, reusing its row storage (see Band::Assign).
+void SakoeChibaBand(std::size_t n, std::size_t m, double width_fraction,
+                    Band* band);
 
 /// Builds an Itakura-parallelogram band with the given maximum local slope
 /// (classically 2.0): the path must stay between lines of slope `max_slope`

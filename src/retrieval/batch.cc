@@ -313,13 +313,14 @@ double BatchKnnEngine::CascadeDistance(const ts::TimeSeries& query,
                               scratch.dp());
     case DistanceKind::kSdtw: {
       // Band pruning and best-so-far pruning compose: build the locally
-      // relevant band, then run the banded DP in the worker's rolling
-      // buffers, abandoning once a whole row exceeds the current k-th
-      // best distance.
+      // relevant band in the worker's band scratch, then run the banded
+      // DP in its rolling buffers, abandoning once a whole row exceeds
+      // the current k-th best distance. Neither step allocates once the
+      // worker's scratch is warm.
       if (stats != nullptr) ++stats->band_builds;
-      const dtw::Band band = engine.BuildBand(query, context.features,
-                                              target,
-                                              index_.features_[candidate]);
+      const dtw::Band& band =
+          engine.BuildBand(query, context.features, target,
+                           index_.features_[candidate], scratch.band());
       if (opt.use_early_abandon && std::isfinite(best_so_far)) {
         const double d = dtw::DtwBandedDistanceEarlyAbandon(
             query, target, band, best_so_far, engine.options().dtw.cost,

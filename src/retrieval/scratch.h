@@ -10,16 +10,19 @@
 ///    salient features), computed exactly once per query up front and
 ///    shared read-only by every worker (paper §3.4: extract once, reuse for
 ///    every comparison);
-///  * ScratchArena — mutable per-worker buffers, above all the rolling DTW
-///    rows, sized once to the widest requirement across the whole index
-///    (via dtw::MaxDpRowWidth / the maximum candidate length) so the hot
-///    query×candidate loop never allocates.
+///  * ScratchArena — mutable per-worker buffers: the rolling DTW rows,
+///    sized once to the widest requirement across the whole index (via
+///    dtw::MaxDpRowWidth / the maximum candidate length), and in sDTW mode
+///    the core::BandScratch every band is built into. Both keep their
+///    storage across candidates, so once warm the per-candidate cascade
+///    (bounds, band build, banded DP) never allocates.
 
 #include <cstddef>
 #include <functional>
 #include <utility>
 #include <vector>
 
+#include "core/sdtw.h"
 #include "dtw/band.h"
 #include "dtw/dtw.h"
 #include "dtw/lower_bounds.h"
@@ -69,6 +72,13 @@ class ScratchArena {
   /// cascade's kernels pick it up without further plumbing.
   void set_kernel(const dtw::RowKernelOps* ops) { dp_.set_kernel(ops); }
 
+  /// Storage every sDTW band of this worker is built into
+  /// (core::Sdtw::BuildBand's scratch overload). It grows to the largest
+  /// pair the worker has seen and then stops allocating; this is what
+  /// keeps the sDTW cascade allocation-free, since a band built from
+  /// fresh buffers allocates its pair, interval and band storage anew.
+  core::BandScratch& band() { return band_; }
+
   /// Reusable (LB_Kim, candidate index) schedule of the chunk currently
   /// being scanned — cleared per chunk, capacity retained across chunks so
   /// LB-ordered visiting allocates only on the first chunk a worker sees.
@@ -78,6 +88,7 @@ class ScratchArena {
 
  private:
   dtw::DtwScratch dp_;
+  core::BandScratch band_;
   std::vector<std::pair<double, std::size_t>> visit_order_;
 };
 
