@@ -1,8 +1,7 @@
 // Batched multi-query retrieval throughput: N sequential KnnEngine::Query
 // calls versus one BatchKnnEngine::QueryBatch over the same index, with
-// the candidate visit order measured three ways (index order, per-chunk
-// ascending cached LB_Kim, and the whole-index LB_Kim presort of
-// VisitOrder::kGlobalLowerBound).
+// the candidate visit order measured both ways (index order, and
+// ascending cached LB_Kim within each chunk).
 //
 // The batch path wins on three axes: per-query derivatives (summary,
 // features) are computed once up front, every worker reuses one
@@ -12,7 +11,7 @@
 // LB-ordered visiting then multiplies the cascade's prune rate: cheap
 // near neighbours run first, the best-so-far tightens early, and most of
 // the expensive tail never reaches the DP. The bench prints DPs run and
-// prune rate for all three orders and FAILS (exit 1) if any hit list
+// prune rate for both orders and FAILS (exit 1) if any hit list
 // diverges from the sequential one — they are bitwise identical by
 // construction.
 //
@@ -71,7 +70,7 @@ struct ModeMetrics {
   double index_seconds = 0.0;
   double seq_seconds = 0.0;
   double batch_seconds = 0.0;  // default (LB-ordered) batch
-  OrderMetrics orders[3];      // indexed by VisitOrder
+  OrderMetrics orders[2];      // indexed by VisitOrder
   bool identical = false;
 };
 
@@ -97,9 +96,9 @@ sdtw::retrieval::QueryStats Totals(
   return t;
 }
 
-// One engine mode, measured sequentially and batched under all three
-// visit orders. Returns false when any hit list disagrees with the
-// sequential scan (all four must be bitwise identical).
+// One engine mode, measured sequentially and batched under both visit
+// orders. Returns false when any hit list disagrees with the sequential
+// scan (all three must be bitwise identical).
 bool RunMode(const char* label, const sdtw::retrieval::KnnOptions& options,
              const sdtw::ts::Dataset& index_set,
              const std::vector<sdtw::ts::TimeSeries>& queries,
@@ -107,14 +106,13 @@ bool RunMode(const char* label, const sdtw::retrieval::KnnOptions& options,
   using namespace sdtw;
   using retrieval::VisitOrder;
 
-  constexpr VisitOrder kOrders[3] = {VisitOrder::kIndexOrder,
-                                     VisitOrder::kLowerBound,
-                                     VisitOrder::kGlobalLowerBound};
+  constexpr VisitOrder kOrders[2] = {VisitOrder::kIndexOrder,
+                                     VisitOrder::kLowerBound};
 
   // One engine per visit order (the option is fixed at engine level);
   // sequential baseline runs on the default (LB-ordered) engine.
   std::vector<retrieval::KnnEngine> engines;
-  engines.reserve(3);
+  engines.reserve(2);
   double index_seconds = 0.0;
   for (const VisitOrder order : kOrders) {
     retrieval::KnnOptions o = options;
@@ -142,7 +140,7 @@ bool RunMode(const char* label, const sdtw::retrieval::KnnOptions& options,
   metrics.index_seconds = index_seconds;
   metrics.seq_seconds = seq_seconds;
   bool identical = true;
-  for (int oi = 0; oi < 3; ++oi) {
+  for (int oi = 0; oi < 2; ++oi) {
     const retrieval::BatchKnnEngine batch(engines[oi], batch_options);
     std::vector<retrieval::QueryStats> stats;
     const auto t0 = std::chrono::steady_clock::now();
@@ -171,20 +169,13 @@ bool RunMode(const char* label, const sdtw::retrieval::KnnOptions& options,
               identical ? "ok" : "MISMATCH");
   const retrieval::QueryStats& idx = metrics.orders[0].stats;
   const retrieval::QueryStats& lb = metrics.orders[1].stats;
-  const retrieval::QueryStats& glb = metrics.orders[2].stats;
   std::printf(
       "  visit order: index %8zu of %8zu DPs (prune %5.1f%%)  "
-      "lb %8zu DPs (prune %5.1f%%, dp_saved %.1f%%)  "
-      "global_lb %8zu DPs (prune %5.1f%%, dp_saved %.1f%%)\n",
+      "lb %8zu DPs (prune %5.1f%%, dp_saved %.1f%%)\n",
       idx.dp_evaluations, idx.candidates, 100.0 * idx.prune_rate(),
       lb.dp_evaluations, 100.0 * lb.prune_rate(),
       idx.dp_evaluations > 0
           ? 100.0 * (1.0 - static_cast<double>(lb.dp_evaluations) /
-                               static_cast<double>(idx.dp_evaluations))
-          : 0.0,
-      glb.dp_evaluations, 100.0 * glb.prune_rate(),
-      idx.dp_evaluations > 0
-          ? 100.0 * (1.0 - static_cast<double>(glb.dp_evaluations) /
                                static_cast<double>(idx.dp_evaluations))
           : 0.0);
   if (lb.pruned_by_keogh > 0 || lb.lb_keogh_abandoned > 0) {
@@ -242,9 +233,9 @@ void WriteJson(const char* path, const Scale& scale, bool smoke,
     std::fprintf(f, "      \"index_seconds\": %.6f,\n", m.index_seconds);
     std::fprintf(f, "      \"hits_identical\": %s,\n",
                  m.identical ? "true" : "false");
-    static const char* kOrderNames[3] = {"index", "lb", "global_lb"};
+    static const char* kOrderNames[2] = {"index", "lb"};
     std::fprintf(f, "      \"orders\": {\n");
-    for (int oi = 0; oi < 3; ++oi) {
+    for (int oi = 0; oi < 2; ++oi) {
       const auto& s = m.orders[oi].stats;
       std::fprintf(f,
                    "        \"%s\": {\"seconds\": %.6f, \"candidates\": %zu, "
@@ -255,7 +246,7 @@ void WriteJson(const char* path, const Scale& scale, bool smoke,
                    kOrderNames[oi], m.orders[oi].seconds, s.candidates,
                    s.dp_evaluations, s.prune_rate(), s.pruned_by_kim,
                    s.pruned_by_keogh, s.pruned_by_early_abandon,
-                   s.lb_keogh_abandoned, s.band_builds, oi < 2 ? "," : "");
+                   s.lb_keogh_abandoned, s.band_builds, oi < 1 ? "," : "");
     }
     std::fprintf(f, "      }\n");
     std::fprintf(f, "    }%s\n", last ? "" : ",");
@@ -373,8 +364,8 @@ int main(int argc, char** argv) {
 
   if (!ok) {
     std::fprintf(stderr,
-                 "FAILED: sequential, index-ordered, LB-ordered, and "
-                 "globally-LB-ordered hit lists disagree\n");
+                 "FAILED: sequential, index-ordered, and LB-ordered hit "
+                 "lists disagree\n");
     return 1;
   }
   return 0;

@@ -412,12 +412,11 @@ int main(int argc, char** argv) {
           faults_block, sizeof(faults_block),
           "{\"ran\": true, \"worker_rate\": %.4f, "
           "\"cache_fill_rate\": %.4f, \"ok\": %zu, \"failed\": %zu, "
-          "\"shed\": %zu, \"deadline_exceeded\": %zu, "
-          "\"worker_faults\": %zu, \"retries\": %zu, "
+          "\"shed\": %zu, \"worker_faults\": %zu, \"retries\": %zu, "
           "\"shed_rate\": %.4f, \"retry_rate\": %.4f, "
           "\"survived\": %s, \"ok_hits_identical\": %s}",
           kWorkerFaultRate, kFillFaultRate, fm.ok, fm.failed, fm.shed,
-          fm.deadline_exceeded, fm.worker_faults, fm.retries,
+          fm.worker_faults, fm.retries,
           static_cast<double>(fm.shed) / fault_requests,
           static_cast<double>(fm.retries) / fault_requests,
           fstats.survived ? "true" : "false",

@@ -2,7 +2,7 @@
 # Smoke-runs every bench_fig* binary plus bench_batch_retrieval at --smoke
 # scale to catch bench bit-rot (benches are not covered by ctest).
 # bench_batch_retrieval additionally verifies that sequential,
-# index-ordered, LB-ordered, and globally-LB-ordered retrieval all return
+# index-ordered and LB-ordered retrieval all return
 # bitwise-identical hit lists, prints DPs-run / prune-rate for each visit
 # order, and writes the machine-readable perf baseline
 # ${build_dir}/BENCH_retrieval.json (queries/s, DP counts, prune rates,

@@ -8,9 +8,9 @@
 /// portable, AVX2, AVX-512 — each compiled in its own translation unit
 /// with per-file arch flags (src/CMakeLists.txt sets -mavx2 / -mavx512f on
 /// exactly that file, nothing else), and the best one the running CPU
-/// supports is picked once at startup. This replaces the PR-5 compromise
-/// of a project-wide -march=native build (`-DSDTW_NATIVE=ON`): the SIMD
-/// kernels are now always available, with no ODR hazard, because every
+/// supports is picked once at startup. No project-wide -march=native
+/// build is needed or offered: the SIMD kernels are always available,
+/// with no ODR hazard, because every
 /// helper in row_kernel.h has internal linkage and each variant TU
 /// instantiates the shared driver with a TU-local pass-1 functor — no
 /// arch-flagged code is ever visible outside its own TU.

@@ -70,28 +70,19 @@ bool HitLess(const Hit& a, const Hit& b) {
 //  * best is additionally published as an atomic so the hot loop can read
 //    the current k-th best without locking (a stale read is always >= the
 //    true value, i.e. merely prunes less);
-//  * context and global_order are phase-1 state: written by exactly one
-//    worker (the one that claimed query q off the phase-1 counter) and
-//    made visible to every phase-2 worker by the RunOnWorkers join
-//    between the phases; read-only from then on, so unguarded.
+//  * the context is phase-1 state: written by exactly one worker (the one
+//    that claimed query q off the phase-1 counter) and made visible to
+//    every phase-2 worker by the join between the phases; read-only from
+//    then on, so unguarded.
 struct PerQueryState {
   /// Phase-1 derivative storage, used when the caller did not preset a
   /// context for this query; `context` points here in that case.
   QueryContext owned_context;  // lint:allow(unguarded: phase-1 state, join-published)
   /// The context every phase-2 worker reads: &owned_context, or the
   /// caller's preset (a cached derivation of the same query — bitwise
-  /// identical by MakeQueryContext's purity). Phase-1 state like
-  /// global_order: written once, read-only while workers race.
+  /// identical by MakeQueryContext's purity). Written once, read-only
+  /// while workers race.
   const QueryContext* context = nullptr;  // lint:allow(unguarded: phase-1 state, join-published)
-  /// VisitOrder::kGlobalLowerBound only: the query's whole candidate set
-  /// as (cached LB_Kim, index), sorted ascending once in phase 1; phase-2
-  /// chunks slice it instead of the index range. Read-only while workers
-  /// race.
-  std::vector<std::pair<double, std::size_t>> global_order;  // lint:allow(unguarded: phase-1 state, join-published)
-  /// ChunkBalance::kLbMass under kGlobalLowerBound: chunk c of this query
-  /// covers global_order[chunk_bounds[c], chunk_bounds[c+1]). Empty means
-  /// uniform candidate-count slicing. Phase-1 state, read-only in phase 2.
-  std::vector<std::size_t> chunk_bounds;  // lint:allow(unguarded: phase-1 state, join-published)
   /// Upper bound of the final k-th best distance, monotonically
   /// non-increasing while workers race; kInf until the heap first fills.
   std::atomic<double> best{kInf};
@@ -179,50 +170,6 @@ std::size_t ResolveThreads(std::size_t requested, std::size_t work_items) {
   return std::max<std::size_t>(1, std::min(threads, work_items));
 }
 
-// ChunkBalance::kLbMass boundary placement over one query's sorted global
-// LB schedule: split by cumulative expected *cost* instead of candidate
-// count. Cost model: a candidate's chance of surviving the cascade into a
-// full DP falls as its LB_Kim rises (the sort key), and a surviving DP
-// costs roughly an order of magnitude more than a pruned candidate's O(1)
-// + O(n) bound checks — so each candidate carries weight
-//   w_i = 1 + kDpCostWeight * (lb_max - lb_i) / (lb_max - lb_min)
-// (all-equal bounds degrade to uniform weights == count slicing) and
-// boundary c is placed where cumulative weight first reaches c/chunks of
-// the total. Pure scheduling: moving a boundary moves candidates between
-// workers, never changes which candidates are scanned or what they
-// return, so hit lists are pinned bitwise against count slicing.
-constexpr double kDpCostWeight = 7.0;
-
-void BuildMassBounds(const std::vector<std::pair<double, std::size_t>>& order,
-                     std::size_t chunks, std::vector<double>& prefix_mass,
-                     std::vector<std::size_t>* bounds) {
-  const std::size_t n = order.size();
-  const double lb_min = order.front().first;
-  const double lb_max = order.back().first;
-  const double span = lb_max - lb_min;
-  const bool weighted = span > 0.0 && std::isfinite(span);
-  prefix_mass.resize(n);
-  double total = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    total += weighted ? 1.0 + kDpCostWeight * (lb_max - order[i].first) / span
-                      : 1.0;
-    prefix_mass[i] = total;
-  }
-  bounds->assign(chunks + 1, n);
-  (*bounds)[0] = 0;
-  std::size_t j = 0;
-  for (std::size_t c = 1; c < chunks; ++c) {
-    const double target =
-        total * static_cast<double>(c) / static_cast<double>(chunks);
-    j = static_cast<std::size_t>(
-        std::lower_bound(prefix_mass.begin() +
-                             static_cast<std::ptrdiff_t>(j),
-                         prefix_mass.end(), target) -
-        prefix_mass.begin());
-    (*bounds)[c] = std::min(j, n);
-  }
-}
-
 }  // namespace
 
 BatchKnnEngine::BatchKnnEngine(const KnnEngine& index, BatchOptions options)
@@ -230,7 +177,8 @@ BatchKnnEngine::BatchKnnEngine(const KnnEngine& index, BatchOptions options)
 
 std::size_t BatchKnnEngine::size() const { return index_.size(); }
 
-QueryContext BatchKnnEngine::MakeContext(const ts::TimeSeries& query) const {
+QueryContext BatchKnnEngine::MakeQueryContext(
+    const ts::TimeSeries& query) const {
   const KnnOptions& opt = index_.options_;
   QueryContext context;
   context.stats = dtw::MakeSeriesStats(query);
@@ -351,11 +299,6 @@ std::vector<std::vector<Hit>> BatchKnnEngine::QueryBatch(
   return QueryBatchImpl(queries, k, excludes, {}, stats, nullptr);
 }
 
-QueryContext BatchKnnEngine::MakeQueryContext(
-    const ts::TimeSeries& query) const {
-  return MakeContext(query);
-}
-
 std::vector<std::vector<Hit>> BatchKnnEngine::QueryBatchWithContexts(
     std::span<const ts::TimeSeries> queries,
     std::span<const QueryContext* const> contexts, std::size_t k,
@@ -421,37 +364,11 @@ std::vector<std::vector<Hit>> BatchKnnEngine::QueryBatchImpl(
     });
   };
 
-  const VisitOrder visit_order = index_.options_.visit_order;
-
-  // Chunking geometry (needed by phase 1 when kLbMass places per-query
-  // boundaries): the query×candidate grid is flattened into
-  // chunks-of-candidates work units drained through one atomic counter.
-  std::size_t chunks_per_query;
-  if (options_.chunk_size != 0) {
-    chunks_per_query =
-        (num_candidates + options_.chunk_size - 1) / options_.chunk_size;
-  } else {
-    const std::size_t units_wanted = threads * 4;
-    chunks_per_query =
-        num_queries >= units_wanted
-            ? 1
-            : (units_wanted + num_queries - 1) / num_queries;
-    chunks_per_query = std::min(chunks_per_query, num_candidates);
-  }
-  const std::size_t chunk =
-      (num_candidates + chunks_per_query - 1) / chunks_per_query;
-  const std::size_t total_units = num_queries * chunks_per_query;
-
   // Phase 1: per-query contexts, each computed exactly once (or adopted
-  // from the caller's cache), spread over the workers. Under
-  // kGlobalLowerBound this also builds each query's whole-index LB_Kim
-  // schedule, so phase-2 chunks slice one global cheapest-first order
-  // instead of sorting per chunk — and under kLbMass the chunk boundaries
-  // over that schedule, balanced by expected cost.
+  // from the caller's cache), spread over the workers.
   {
     std::atomic<std::size_t> next{0};
     run_workers(std::min(threads, num_queries), [&](ScratchArena&) {
-      std::vector<double> prefix_mass;  // reused across this worker's queries
       for (;;) {
         const std::size_t q = next.fetch_add(1, std::memory_order_relaxed);
         if (q >= num_queries) return;
@@ -459,32 +376,38 @@ std::vector<std::vector<Hit>> BatchKnnEngine::QueryBatchImpl(
         if (q < preset_contexts.size() && preset_contexts[q] != nullptr) {
           state.context = preset_contexts[q];
         } else {
-          state.owned_context = MakeContext(queries[q]);
+          state.owned_context = MakeQueryContext(queries[q]);
           state.context = &state.owned_context;
-        }
-        if (visit_order == VisitOrder::kGlobalLowerBound) {
-          auto& order = state.global_order;
-          order.reserve(num_candidates);
-          for (std::size_t i = 0; i < num_candidates; ++i) {
-            order.emplace_back(
-                dtw::LbKim(state.context->stats, index_.stats_[i]), i);
-          }
-          std::sort(order.begin(), order.end());
-          if (options_.chunk_balance == ChunkBalance::kLbMass &&
-              chunks_per_query > 1 && !order.empty()) {
-            BuildMassBounds(order, chunks_per_query, prefix_mass,
-                            &state.chunk_bounds);
-          }
         }
       }
     });
   }
 
+  // Chunking: the query×candidate grid is flattened into index-range
+  // work units drained through one atomic counter. Without an explicit
+  // chunk_size a query is split only when there are too few queries to
+  // give every worker ~4 units; one worker has nothing to balance, so
+  // each of its queries is one chunk.
+  std::size_t chunks_per_query = 1;
+  if (options_.chunk_size != 0) {
+    chunks_per_query =
+        (num_candidates + options_.chunk_size - 1) / options_.chunk_size;
+  } else if (threads > 1) {
+    const std::size_t units_wanted = threads * 4;
+    if (num_queries < units_wanted) {
+      chunks_per_query = std::min(
+          (units_wanted + num_queries - 1) / num_queries, num_candidates);
+    }
+  }
+  const std::size_t chunk =
+      (num_candidates + chunks_per_query - 1) / chunks_per_query;
+  const std::size_t total_units = num_queries * chunks_per_query;
+
+  const VisitOrder visit_order = index_.options_.visit_order;
   // Whether the chunk scheduler needs LB_Kim at all: for the visit order,
   // or for the stage-1 prune (which CascadeDistance re-gates on the same
   // conditions). When neither consumes it, the schedule pass skips the
   // bound and the loop degenerates to the plain index-order scan.
-  // (kGlobalLowerBound schedules come precomputed from phase 1.)
   const bool need_kim =
       visit_order == VisitOrder::kLowerBound ||
       (index_.options_.use_lb_kim &&
@@ -503,17 +426,9 @@ std::vector<std::vector<Hit>> BatchKnnEngine::QueryBatchImpl(
       const std::size_t t = next.fetch_add(1, std::memory_order_relaxed);
       if (t >= total_units) return;
       const std::size_t q = t / chunks_per_query;
-      const std::size_t c = t % chunks_per_query;
+      const std::size_t begin = (t % chunks_per_query) * chunk;
+      const std::size_t end = std::min(num_candidates, begin + chunk);
       PerQueryState& state = states[q];
-      std::size_t begin, end;
-      if (!state.chunk_bounds.empty()) {
-        // LB-mass-balanced boundaries over the query's global schedule.
-        begin = state.chunk_bounds[c];
-        end = state.chunk_bounds[c + 1];
-      } else {
-        begin = c * chunk;
-        end = std::min(num_candidates, begin + chunk);
-      }
       const bool has_exclude =
           q < excludes.size() && excludes[q].has_value();
       const std::size_t exclude = has_exclude ? *excludes[q] : 0;
@@ -521,30 +436,20 @@ std::vector<std::vector<Hit>> BatchKnnEngine::QueryBatchImpl(
       // Schedule phase: the O(1) cached-stats LB_Kim of every candidate
       // in the chunk, then (by default) the chunk sorted ascending by
       // (bound, index) so likely-near candidates tighten the shared
-      // best-so-far before the expensive tail runs. Under
-      // kGlobalLowerBound the chunk instead slices the query's presorted
-      // whole-index schedule. Pure scheduling either way: the hit lists
-      // are identical under any order (see file comment), only the prune
-      // counters move.
+      // best-so-far before the expensive tail runs. Pure scheduling: the
+      // hit lists are identical under either order (see file comment),
+      // only the prune counters move.
       auto& order = scratch.visit_order();
       order.clear();
-      if (visit_order == VisitOrder::kGlobalLowerBound) {
-        for (std::size_t i = begin; i < end; ++i) {
-          const auto& entry = state.global_order[i];
-          if (has_exclude && exclude == entry.second) continue;
-          order.push_back(entry);
-        }
-      } else {
-        for (std::size_t i = begin; i < end; ++i) {
-          if (has_exclude && exclude == i) continue;
-          order.emplace_back(
-              need_kim ? dtw::LbKim(state.context->stats, index_.stats_[i])
-                       : 0.0,
-              i);
-        }
-        if (visit_order == VisitOrder::kLowerBound) {
-          std::sort(order.begin(), order.end());
-        }
+      for (std::size_t i = begin; i < end; ++i) {
+        if (has_exclude && exclude == i) continue;
+        order.emplace_back(
+            need_kim ? dtw::LbKim(state.context->stats, index_.stats_[i])
+                     : 0.0,
+            i);
+      }
+      if (visit_order == VisitOrder::kLowerBound) {
+        std::sort(order.begin(), order.end());
       }
       // Cascade phase, in schedule order.
       for (const auto& [kim_lb, i] : order) {

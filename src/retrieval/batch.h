@@ -20,21 +20,21 @@
 ///    stages, five traced knn_sdtw runs per side measure
 ///    core.build_band_us 14.6–19.3 → 6.5–11.2 µs (medians 18.0 → 10.2)
 ///    and align.match_us 5.3–6.9 → 3.2–5.5 µs (medians 6.1 → 5.0);
-///  * the query×candidate grid is chunked and distributed over workers by
-///    an atomic work counter (the same work-stealing scheme as
-///    ParallelPairwiseMatrix), and every query's best-so-far is a shared
-///    atomic that tightens as workers race, so the LB_Kim → LB_Keogh →
-///    early-abandoning-DP cascade prunes across threads;
+///  * the query×candidate grid is cut into index-range chunks and
+///    distributed over workers by an atomic work counter, and every
+///    query's best-so-far is a shared atomic that tightens as workers race,
+///    so the LB_Kim → LB_Keogh → early-abandoning-DP cascade prunes across
+///    threads. A query is split into several chunks only when there are
+///    too few queries to keep every worker busy; with one worker, or at
+///    least ~4 queries per worker, each query is one chunk;
 ///  * within each chunk, candidates are visited in ascending cached LB_Kim
 ///    order by default (KnnOptions::visit_order): the O(1) bound for every
-///    candidate of the chunk is computed first, the chunk is sorted, and
-///    the Keogh→DP cascade then runs cheapest-first, so near neighbours
-///    tighten the shared best-so-far before the expensive tail is visited
-///    and most DPs are pruned before they start.
-///    VisitOrder::kGlobalLowerBound instead presorts each query's whole
-///    candidate set once in phase 1 and lets chunks slice that global
-///    schedule — same hits, one O(N log N) sort per query, ordering that
-///    survives arbitrarily small chunks;
+///    candidate of the chunk is computed first, the chunk is sorted by
+///    (bound, index), and the Keogh→DP cascade then runs cheapest-first,
+///    so near neighbours tighten the shared best-so-far before the
+///    expensive tail is visited and most DPs are pruned before they start.
+///    When a query is one chunk, this is the query's whole-index
+///    cheapest-first schedule;
 ///  * LB_Keogh runs against full-span envelopes read from the cached
 ///    SeriesStats, in both DTW modes and before the sDTW band is built;
 ///    its passes accumulate with cumulative abandoning against the
@@ -74,26 +74,6 @@
 namespace sdtw {
 namespace retrieval {
 
-/// \brief How the phase-2 scheduler splits one query's candidate schedule
-/// into work chunks.
-enum class ChunkBalance {
-  /// Equal candidate *count* per chunk (the PR-3 scheme). Under a sorted
-  /// global schedule this is systematically unbalanced: the first chunk
-  /// holds the near (low-LB_Kim) candidates, which are exactly the ones
-  /// that survive the cascade into full DPs, so one worker does most of
-  /// the DP work while the rest race through cheap prunes.
-  kCandidateCount,
-  /// Equal expected *cost* per chunk under VisitOrder::kGlobalLowerBound:
-  /// each candidate is weighted by a monotone-decreasing function of its
-  /// LB_Kim (near candidates are the expensive ones) and chunk boundaries
-  /// are placed where cumulative weight crosses equal fractions of the
-  /// total. Orders without a precomputed global schedule fall back to
-  /// kCandidateCount. Pure scheduling: hit lists are bitwise identical to
-  /// kCandidateCount under any thread count — only which worker does which
-  /// work moves.
-  kLbMass,
-};
-
 /// \brief Execution knobs of the batch engine.
 struct BatchOptions {
   /// Worker threads; 0 = hardware concurrency. 1 runs inline on the
@@ -102,11 +82,8 @@ struct BatchOptions {
   std::size_t num_threads = 0;
   /// Candidates per work unit; 0 derives a chunking that yields at least
   /// ~4 units per worker while never splitting a query that does not need
-  /// splitting for load balance.
+  /// splitting for load balance (in particular, never with one worker).
   std::size_t chunk_size = 0;
-  /// Chunk boundary placement within one query's schedule; see
-  /// ChunkBalance. Scheduling only, never results.
-  ChunkBalance chunk_balance = ChunkBalance::kLbMass;
   /// Row-kernel variant every worker's DP runs with; nullptr selects the
   /// process-wide ActiveRowKernelOps(). Variants are bit-identical, so
   /// hit lists do not depend on this — it exists for benchmarking and for
@@ -228,8 +205,6 @@ class BatchKnnEngine {
                              QueryStats* aggregate = nullptr) const;
 
  private:
-  QueryContext MakeContext(const ts::TimeSeries& query) const;
-
   /// QueryBatch body; when `contexts_out` is non-null it receives the
   /// per-query contexts (moved) so alignment recovery can reuse the cached
   /// query features instead of re-extracting them. `preset_contexts`

@@ -39,26 +39,20 @@ enum class DistanceKind {
 /// \brief Order in which the cascade visits the candidates of one work
 /// chunk (the UCR-suite scheduling refinement, Rakthanmanon et al. 2012).
 enum class VisitOrder {
-  /// Ascending candidate index — the order a naive scan uses.
+  /// Ascending candidate index — the order a naive scan uses; kept as the
+  /// oracle the LB-ordered schedule is checked against.
   kIndexOrder,
-  /// Ascending cached LB_Kim: cheap likely-near candidates run first, so
-  /// the best-so-far tightens early and the Keogh/early-abandon stages
-  /// prune more of the expensive tail. Results are bitwise identical to
-  /// kIndexOrder — hits are the k smallest (distance, index) pairs and
-  /// every prune is conservative against the racing best-so-far — with
-  /// typically far fewer DPs run (~3x fewer on bench_batch_retrieval's
-  /// default workload; workload-dependent, not a per-dataset theorem).
+  /// Ascending (cached LB_Kim, index) within each index-range chunk:
+  /// cheap likely-near candidates run first, so the best-so-far tightens
+  /// early and the Keogh/early-abandon stages prune more of the expensive
+  /// tail. A query is one chunk unless the batch has too few queries to
+  /// keep every worker busy, so this is usually the query's whole-index
+  /// cheapest-first order. Results are bitwise identical to kIndexOrder —
+  /// hits are the k smallest (distance, index) pairs and every prune is
+  /// conservative against the racing best-so-far — with typically far
+  /// fewer DPs run (~3x fewer on bench_batch_retrieval's default
+  /// workload; workload-dependent, not a per-dataset theorem).
   kLowerBound,
-  /// Ascending cached LB_Kim over the query's *entire* candidate set,
-  /// presorted once per query before chunking (kLowerBound sorts each
-  /// chunk independently). Chunks then slice the global schedule, so the
-  /// cheapest candidates index-set-wide run first regardless of how many
-  /// chunks the scheduler cut — which matters when high thread counts
-  /// shrink chunks until per-chunk ordering degenerates toward index
-  /// order. Costs one O(N log N) sort (and an O(N) schedule buffer) per
-  /// query per batch. Hit lists remain bitwise identical to both other
-  /// orders, for the same reason as kLowerBound.
-  kGlobalLowerBound,
 };
 
 /// \brief Engine configuration.

@@ -258,7 +258,6 @@ ServiceMetrics QueryService::metrics() const {
     m.batches = batches_;
     m.coalesced = coalesced_;
     m.shed = shed_;
-    m.deadline_exceeded = deadline_exceeded_;
     m.worker_faults = worker_faults_;
     m.retries = retries_;
     m.park_timeouts = park_timeouts_;
@@ -356,7 +355,6 @@ std::vector<QueryService::Request> QueryService::NextBatch() {
         }
         if (!batch.empty()) ++batches_;
         shed_ += shed.size();
-        deadline_exceeded_ += shed.size();
         completed_ += shed.size();
         if (!shed.empty() || !batch.empty()) space_cv_.NotifyAll();
       }

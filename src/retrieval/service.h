@@ -59,8 +59,7 @@
 ///  * **Observability.** metrics() reports p50/p95/p99 submit→complete
 ///    latency over successful requests, throughput counters, coalescing
 ///    and cache hit rates, and the failure-path counters
-///    (deadline_exceeded / worker_faults / retries / shed /
-///    park_timeouts / watchdog_stalls).
+///    (shed / worker_faults / retries / park_timeouts / watchdog_stalls).
 ///
 /// Determinism: a query's hit list — whenever its request completes OK —
 /// is bitwise identical to a direct BatchKnnEngine::QueryBatch of that
@@ -252,7 +251,7 @@ struct ServiceMetrics {
   std::size_t rejected = 0;   ///< Refused (capacity/kReject, park timeout,
                               ///< injected admission fault, or closed).
   /// Futures resolved, successfully or not:
-  /// completed == ok + deadline_exceeded + failed.
+  /// completed == ok + failed + shed.
   std::size_t completed = 0;
   std::size_t ok = 0;          ///< Resolved with hits.
   std::size_t failed = 0;      ///< Resolved with kWorkerFault/kUnknown.
@@ -261,12 +260,9 @@ struct ServiceMetrics {
   /// batch (in-batch coalescing).
   std::size_t coalesced = 0;
   /// Requests shed from the queue head because their deadline had passed
-  /// (no DP evaluation ran); each resolved with kDeadlineExceeded.
+  /// (no DP evaluation ran); each resolved with kDeadlineExceeded, the
+  /// only path that resolves a future with that code.
   std::size_t shed = 0;
-  /// Futures resolved with kDeadlineExceeded (== shed today; kept
-  /// separate so future deadline checks deeper in the pipeline share a
-  /// counter with the correct meaning).
-  std::size_t deadline_exceeded = 0;
   /// Faulted executions observed: poisoned whole batches plus faulted
   /// individual re-runs.
   std::size_t worker_faults = 0;
@@ -400,7 +396,6 @@ class QueryService {
   std::size_t batches_ SDTW_GUARDED_BY(mu_) = 0;
   std::size_t coalesced_ SDTW_GUARDED_BY(mu_) = 0;
   std::size_t shed_ SDTW_GUARDED_BY(mu_) = 0;
-  std::size_t deadline_exceeded_ SDTW_GUARDED_BY(mu_) = 0;
   std::size_t worker_faults_ SDTW_GUARDED_BY(mu_) = 0;
   std::size_t retries_ SDTW_GUARDED_BY(mu_) = 0;
   std::size_t park_timeouts_ SDTW_GUARDED_BY(mu_) = 0;

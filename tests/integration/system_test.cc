@@ -17,7 +17,6 @@
 #include "eval/confusion.h"
 #include "retrieval/feature_store.h"
 #include "retrieval/knn.h"
-#include "retrieval/parallel.h"
 #include "ts/random.h"
 #include "ts/transforms.h"
 
@@ -71,25 +70,6 @@ TEST(SystemTest, PersistedFeaturesDriveKnnIdentically) {
               .distance;
       EXPECT_DOUBLE_EQ(fresh, persisted);
     }
-  }
-}
-
-TEST(SystemTest, ParallelSdtwMatrixMatchesSequential) {
-  data::GeneratorOptions gopt;
-  gopt.num_series = 8;
-  gopt.length = 90;
-  const ts::Dataset ds = data::MakeTraceLike(gopt);
-  core::Sdtw engine;
-  std::vector<std::vector<sift::Keypoint>> features;
-  for (const auto& s : ds) features.push_back(engine.ExtractFeatures(s));
-  auto dist = [&](std::size_t i, std::size_t j) {
-    return engine.Compare(ds[i], features[i], ds[j], features[j]).distance;
-  };
-  const auto seq = retrieval::ParallelPairwiseMatrix(ds.size(), dist, 1);
-  const auto par = retrieval::ParallelPairwiseMatrix(ds.size(), dist, 4);
-  ASSERT_EQ(seq.size(), par.size());
-  for (std::size_t k = 0; k < seq.size(); ++k) {
-    EXPECT_DOUBLE_EQ(seq[k], par[k]) << k;
   }
 }
 

@@ -125,6 +125,49 @@ TEST(BatchKnnEngineTest, BatchOfOneBitwiseIdenticalToQuery) {
   }
 }
 
+TEST(BatchKnnEngineTest, SingleWorkerNeverSplitsAQuery) {
+  // One worker has no load to balance, so a query alone must run as one
+  // chunk, exactly as it does inside a multi-query batch: the schedule,
+  // and with it every cascade counter, must not depend on how many other
+  // queries share the call.
+  for (const std::size_t n : {24u, 40u, 60u}) {
+    const ts::Dataset ds = SmallGun(n, 100);
+    for (const DistanceKind kind :
+         {DistanceKind::kFullDtw, DistanceKind::kSdtw}) {
+      KnnOptions opt;
+      opt.distance = kind;
+      KnnEngine engine(opt);
+      engine.Index(ds);
+      const std::vector<ts::TimeSeries> queries = QueriesFrom(ds, 8);
+      std::vector<std::optional<std::size_t>> excludes;
+      for (std::size_t q = 0; q < queries.size(); ++q) excludes.push_back(q);
+      BatchOptions bopt;
+      bopt.num_threads = 1;
+      std::vector<QueryStats> batch_stats;
+      BatchKnnEngine(engine, bopt).QueryBatch(queries, 3, excludes,
+                                              &batch_stats);
+      for (std::size_t q = 0; q < queries.size(); ++q) {
+        QueryStats single;
+        engine.Query(queries[q], 3, excludes[q], &single);
+        const QueryStats& batched = batch_stats[q];
+        const std::string where = "n " + std::to_string(n) + " mode " +
+                                  std::to_string(static_cast<int>(kind)) +
+                                  " query " + std::to_string(q);
+        EXPECT_EQ(single.candidates, batched.candidates) << where;
+        EXPECT_EQ(single.pruned_by_kim, batched.pruned_by_kim) << where;
+        EXPECT_EQ(single.pruned_by_keogh, batched.pruned_by_keogh) << where;
+        EXPECT_EQ(single.pruned_by_early_abandon,
+                  batched.pruned_by_early_abandon)
+            << where;
+        EXPECT_EQ(single.dp_evaluations, batched.dp_evaluations) << where;
+        EXPECT_EQ(single.lb_keogh_abandoned, batched.lb_keogh_abandoned)
+            << where;
+        EXPECT_EQ(single.band_builds, batched.band_builds) << where;
+      }
+    }
+  }
+}
+
 TEST(BatchKnnEngineTest, MultiThreadBitwiseIdenticalToBruteForce) {
   // Exact-DTW hits from the racing cascade must equal a brute-force scan
   // bit for bit, whatever the worker count and completion order.
@@ -232,8 +275,7 @@ TEST(BatchKnnEngineTest, StatsCountersSumExactlyToCandidates) {
                                   DistanceKind::kSdtw,
                                   DistanceKind::kEuclidean}) {
     for (const VisitOrder order :
-         {VisitOrder::kIndexOrder, VisitOrder::kLowerBound,
-          VisitOrder::kGlobalLowerBound}) {
+         {VisitOrder::kIndexOrder, VisitOrder::kLowerBound}) {
       KnnOptions opt;
       opt.distance = kind;
       opt.visit_order = order;
@@ -286,36 +328,24 @@ TEST(BatchKnnEngineTest, VisitOrdersReturnBitwiseIdenticalHits) {
     opt.visit_order = VisitOrder::kLowerBound;
     KnnEngine lb_engine(opt);
     lb_engine.Index(ds);
-    opt.visit_order = VisitOrder::kGlobalLowerBound;
-    KnnEngine global_engine(opt);
-    global_engine.Index(ds);
     const std::vector<ts::TimeSeries> queries = QueriesFrom(ds, 6);
     for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
       BatchOptions bopt;
       bopt.num_threads = threads;
       bopt.chunk_size = 5;  // several chunks -> per-chunk sorting matters
-      std::vector<QueryStats> index_stats, lb_stats, global_stats;
+      std::vector<QueryStats> index_stats, lb_stats;
       const auto index_hits = BatchKnnEngine(index_engine, bopt)
                                   .QueryBatch(queries, 4, &index_stats);
       const auto lb_hits =
           BatchKnnEngine(lb_engine, bopt).QueryBatch(queries, 4, &lb_stats);
-      const auto global_hits = BatchKnnEngine(global_engine, bopt)
-                                   .QueryBatch(queries, 4, &global_stats);
       ASSERT_EQ(index_hits.size(), lb_hits.size());
-      ASSERT_EQ(index_hits.size(), global_hits.size());
       for (std::size_t q = 0; q < index_hits.size(); ++q) {
         ASSERT_EQ(lb_hits[q].size(), index_hits[q].size())
-            << threads << " " << q;
-        ASSERT_EQ(global_hits[q].size(), index_hits[q].size())
             << threads << " " << q;
         for (std::size_t i = 0; i < index_hits[q].size(); ++i) {
           EXPECT_EQ(lb_hits[q][i].index, index_hits[q][i].index)
               << threads << " " << q;
           EXPECT_EQ(lb_hits[q][i].distance, index_hits[q][i].distance)
-              << threads << " " << q;
-          EXPECT_EQ(global_hits[q][i].index, index_hits[q][i].index)
-              << threads << " " << q;
-          EXPECT_EQ(global_hits[q][i].distance, index_hits[q][i].distance)
               << threads << " " << q;
         }
       }
@@ -323,124 +353,13 @@ TEST(BatchKnnEngineTest, VisitOrdersReturnBitwiseIdenticalHits) {
       // is workload-dependent and pinned by bench_batch_retrieval, not a
       // per-dataset theorem), but the outcome partition itself must stay
       // exact under every schedule.
-      for (const auto* stats : {&index_stats, &lb_stats, &global_stats}) {
+      for (const auto* stats : {&index_stats, &lb_stats}) {
         for (const QueryStats& s : *stats) {
           EXPECT_EQ(s.pruned_by_kim + s.pruned_by_keogh +
                         s.pruned_by_early_abandon + s.dp_evaluations,
                     s.candidates)
               << threads;
         }
-      }
-    }
-  }
-}
-
-TEST(BatchKnnEngineTest, GlobalLowerBoundMatchesBruteForceAcrossThreads) {
-  // The whole-index presort is pure scheduling: under any thread count
-  // and chunking, hits must equal the brute-force k smallest
-  // (distance, index) pairs bit for bit.
-  const ts::Dataset ds = SmallGun(30);
-  KnnOptions opt;
-  opt.distance = DistanceKind::kFullDtw;
-  opt.visit_order = VisitOrder::kGlobalLowerBound;
-  KnnEngine engine(opt);
-  engine.Index(ds);
-  const std::vector<ts::TimeSeries> queries = QueriesFrom(ds, 5);
-  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-    BatchOptions bopt;
-    bopt.num_threads = threads;
-    bopt.chunk_size = 4;
-    std::vector<std::optional<std::size_t>> excludes;
-    for (std::size_t q = 0; q < queries.size(); ++q) excludes.push_back(q);
-    const auto hits = BatchKnnEngine(engine, bopt)
-                          .QueryBatch(queries, 3, excludes, nullptr);
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-      const std::vector<Hit> expected =
-          BruteForceTopK(ds, queries[q], 3, excludes[q]);
-      ASSERT_EQ(hits[q].size(), expected.size()) << threads << " " << q;
-      for (std::size_t i = 0; i < expected.size(); ++i) {
-        EXPECT_EQ(hits[q][i].index, expected[i].index)
-            << threads << " " << q;
-        EXPECT_EQ(hits[q][i].distance, expected[i].distance)
-            << threads << " " << q;
-      }
-    }
-  }
-}
-
-TEST(BatchKnnEngineTest, ChunkBalanceModesReturnBitwiseIdenticalHits) {
-  // LB-mass chunk balancing is pure scheduling: under the global-LB
-  // schedule it only moves chunk *boundaries*, so hits must equal the
-  // kCandidateCount chunking bit for bit under every thread count, and
-  // the cascade outcome partition must stay exact.
-  const ts::Dataset ds = SmallGun(30);
-  for (const DistanceKind kind :
-       {DistanceKind::kFullDtw, DistanceKind::kSdtw}) {
-    KnnOptions opt;
-    opt.distance = kind;
-    opt.visit_order = VisitOrder::kGlobalLowerBound;
-    KnnEngine engine(opt);
-    engine.Index(ds);
-    const std::vector<ts::TimeSeries> queries = QueriesFrom(ds, 5);
-    for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-      BatchOptions count_opt;
-      count_opt.num_threads = threads;
-      count_opt.chunk_size = 4;  // many chunks -> boundaries really move
-      count_opt.chunk_balance = ChunkBalance::kCandidateCount;
-      BatchOptions mass_opt = count_opt;
-      mass_opt.chunk_balance = ChunkBalance::kLbMass;
-      std::vector<QueryStats> count_stats, mass_stats;
-      const auto count_hits = BatchKnnEngine(engine, count_opt)
-                                  .QueryBatch(queries, 4, &count_stats);
-      const auto mass_hits = BatchKnnEngine(engine, mass_opt)
-                                 .QueryBatch(queries, 4, &mass_stats);
-      ASSERT_EQ(mass_hits.size(), count_hits.size());
-      for (std::size_t q = 0; q < count_hits.size(); ++q) {
-        ASSERT_EQ(mass_hits[q].size(), count_hits[q].size())
-            << threads << " " << q;
-        for (std::size_t i = 0; i < count_hits[q].size(); ++i) {
-          EXPECT_EQ(mass_hits[q][i].index, count_hits[q][i].index)
-              << threads << " " << q;
-          EXPECT_EQ(mass_hits[q][i].distance, count_hits[q][i].distance)
-              << threads << " " << q;
-          EXPECT_EQ(mass_hits[q][i].label, count_hits[q][i].label)
-              << threads << " " << q;
-        }
-      }
-      for (const QueryStats& s : mass_stats) {
-        EXPECT_EQ(s.pruned_by_kim + s.pruned_by_keogh +
-                      s.pruned_by_early_abandon + s.dp_evaluations,
-                  s.candidates)
-            << threads;
-      }
-    }
-  }
-}
-
-TEST(BatchKnnEngineTest, LbMassFallsBackWithoutGlobalSchedule) {
-  // Orders without a precomputed whole-index schedule (per-chunk LB and
-  // index order) have no mass to balance: kLbMass must degrade to the
-  // count chunking, bit for bit.
-  const ts::Dataset ds = SmallGun(20);
-  for (const VisitOrder order :
-       {VisitOrder::kIndexOrder, VisitOrder::kLowerBound}) {
-    KnnOptions opt;
-    opt.distance = DistanceKind::kFullDtw;
-    opt.visit_order = order;
-    KnnEngine engine(opt);
-    engine.Index(ds);
-    const std::vector<ts::TimeSeries> queries = QueriesFrom(ds, 4);
-    BatchOptions bopt;
-    bopt.num_threads = 4;
-    bopt.chunk_size = 3;
-    bopt.chunk_balance = ChunkBalance::kLbMass;
-    const auto hits = BatchKnnEngine(engine, bopt).QueryBatch(queries, 4);
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-      const auto expected = BruteForceTopK(ds, queries[q], 4, std::nullopt);
-      ASSERT_EQ(hits[q].size(), expected.size()) << q;
-      for (std::size_t i = 0; i < expected.size(); ++i) {
-        EXPECT_EQ(hits[q][i].index, expected[i].index) << q;
-        EXPECT_EQ(hits[q][i].distance, expected[i].distance) << q;
       }
     }
   }
@@ -586,8 +505,7 @@ TEST(BatchKnnEngineTest, MixedLengthIndexKeoghChecksEveryCandidate) {
   for (const auto& s : trace(6, 60)) ds.Add(s);
 
   for (const VisitOrder order :
-       {VisitOrder::kIndexOrder, VisitOrder::kLowerBound,
-        VisitOrder::kGlobalLowerBound}) {
+       {VisitOrder::kIndexOrder, VisitOrder::kLowerBound}) {
     KnnOptions opt;
     opt.distance = DistanceKind::kFullDtw;
     opt.use_lb_kim = false;  // every candidate reaches the Keogh stage
@@ -652,8 +570,7 @@ TEST(BatchKnnEngineTest, SdtwKeoghStageKeepsHitsBitwise) {
           }));
     }
     for (const VisitOrder order :
-         {VisitOrder::kIndexOrder, VisitOrder::kLowerBound,
-          VisitOrder::kGlobalLowerBound}) {
+         {VisitOrder::kIndexOrder, VisitOrder::kLowerBound}) {
       opt.visit_order = order;
       opt.use_lb_keogh = true;
       KnnEngine keogh_engine(opt);

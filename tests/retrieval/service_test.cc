@@ -303,8 +303,7 @@ TEST(QueryServiceTest, HitsBitwiseIdenticalToDirectBatch) {
     EXPECT_EQ(m.completed, queries.size()) << config.name;
     EXPECT_EQ(m.rejected, 0u) << config.name;
     EXPECT_GE(m.batches, 1u) << config.name;
-    EXPECT_EQ(m.completed, m.ok + m.failed + m.deadline_exceeded)
-        << config.name;
+    EXPECT_EQ(m.completed, m.ok + m.failed + m.shed) << config.name;
     if (!FaultsArmed()) {
       EXPECT_EQ(m.latency.count, queries.size()) << config.name;
     }
