@@ -97,10 +97,10 @@ int main(int argc, char** argv) {
   const std::vector<ts::TimeSeries> queries(ds.begin(), ds.end());
   std::vector<std::optional<std::size_t>> excludes(ds.size());
   for (std::size_t q = 0; q < ds.size(); ++q) excludes[q] = q;
-  const std::vector<int> predicted = batch.ClassifyBatch(queries, 1, excludes);
+  const auto hits = batch.QueryBatch(queries, 1, nullptr, excludes);
   eval::ConfusionMatrix cm;
   for (std::size_t q = 0; q < ds.size(); ++q) {
-    cm.Add(ds[q].label(), predicted[q]);
+    cm.Add(ds[q].label(), retrieval::VoteLabel(hits[q]));
   }
   std::printf("\nsDTW confusion matrix (rows=truth, cols=predicted):\n%s",
               cm.ToString().c_str());

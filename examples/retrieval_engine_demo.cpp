@@ -56,9 +56,10 @@ int main(int argc, char** argv) {
 
   // Leave-one-out classification accuracy, both engines — one batched
   // pass over the whole index (hardware-concurrency workers), timed.
-  auto timed = [](retrieval::KnnEngine& engine, const char* label) {
+  auto timed = [](const retrieval::KnnEngine& engine, const char* label) {
     const auto t0 = std::chrono::steady_clock::now();
-    const double acc = engine.LeaveOneOutAccuracy(1);
+    const double acc =
+        retrieval::BatchKnnEngine(engine).LeaveOneOutAccuracy(1);
     const double sec =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();

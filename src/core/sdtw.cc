@@ -100,23 +100,8 @@ const dtw::Band& Sdtw::BuildBand(
 
 SdtwResult Sdtw::Compare(
     const ts::TimeSeries& x, const std::vector<sift::Keypoint>& features_x,
-    const ts::TimeSeries& y,
-    const std::vector<sift::Keypoint>& features_y) const {
-  return CompareImpl(x, features_x, y, features_y, /*abandon=*/false, 0.0);
-}
-
-SdtwResult Sdtw::CompareEarlyAbandon(
-    const ts::TimeSeries& x, const std::vector<sift::Keypoint>& features_x,
     const ts::TimeSeries& y, const std::vector<sift::Keypoint>& features_y,
     double abandon_above) const {
-  return CompareImpl(x, features_x, y, features_y, /*abandon=*/true,
-                     abandon_above);
-}
-
-SdtwResult Sdtw::CompareImpl(
-    const ts::TimeSeries& x, const std::vector<sift::Keypoint>& features_x,
-    const ts::TimeSeries& y, const std::vector<sift::Keypoint>& features_y,
-    bool abandon, double abandon_above) const {
   SdtwResult result;
   const auto t0 = std::chrono::steady_clock::now();
 
@@ -131,9 +116,7 @@ SdtwResult Sdtw::CompareImpl(
   // when want_path is off), so both time and memory follow the band area.
   const auto t1 = std::chrono::steady_clock::now();
   dtw::DtwResult dp =
-      abandon ? dtw::DtwBandedEarlyAbandon(x, y, result.band, abandon_above,
-                                           options_.dtw)
-              : dtw::DtwBanded(x, y, result.band, options_.dtw);
+      dtw::DtwBanded(x, y, result.band, options_.dtw, abandon_above);
   result.timing.dp_seconds = SecondsSince(t1);
 
   result.distance = dp.distance;
@@ -146,13 +129,6 @@ SdtwResult Sdtw::CompareImpl(
 SdtwResult Sdtw::Compare(const ts::TimeSeries& x,
                          const ts::TimeSeries& y) const {
   return Compare(x, ExtractFeatures(x), y, ExtractFeatures(y));
-}
-
-double Sdtw::Distance(const ts::TimeSeries& x, const ts::TimeSeries& y) const {
-  SdtwOptions opts = options_;
-  opts.dtw.want_path = false;
-  Sdtw engine(opts);
-  return engine.Compare(x, y).distance;
 }
 
 std::vector<NamedConfig> PaperAlgorithmRoster(std::size_t descriptor_length) {

@@ -115,28 +115,21 @@ class Sdtw {
   std::vector<sift::Keypoint> ExtractFeatures(
       const ts::TimeSeries& series) const;
 
-  /// Full pipeline with pre-extracted features.
+  /// Full pipeline with pre-extracted features. A finite `abandon_above`
+  /// (the caller's best-so-far) makes the banded DP give up as soon as
+  /// every cell of a DP row — or the final distance — exceeds it,
+  /// returning distance = +infinity with an empty path. This works in both
+  /// path and distance-only modes, so retrieval loops that want alignments
+  /// prune exactly like distance-only calls. The default
+  /// dtw::kNoAbandon, or any other non-finite value, never abandons.
   SdtwResult Compare(const ts::TimeSeries& x,
                      const std::vector<sift::Keypoint>& features_x,
                      const ts::TimeSeries& y,
-                     const std::vector<sift::Keypoint>& features_y) const;
+                     const std::vector<sift::Keypoint>& features_y,
+                     double abandon_above = dtw::kNoAbandon) const;
 
   /// Convenience: extracts features on the fly and compares.
   SdtwResult Compare(const ts::TimeSeries& x, const ts::TimeSeries& y) const;
-
-  /// Full pipeline with best-so-far early abandoning: identical to
-  /// Compare() except the banded DP gives up as soon as every cell of a DP
-  /// row — or the final distance — exceeds `abandon_above` (the caller's
-  /// best-so-far), returning distance = +infinity with an empty path.
-  /// Works in both path and distance-only modes, so retrieval loops that
-  /// want alignments prune exactly like distance-only calls.
-  SdtwResult CompareEarlyAbandon(
-      const ts::TimeSeries& x, const std::vector<sift::Keypoint>& features_x,
-      const ts::TimeSeries& y, const std::vector<sift::Keypoint>& features_y,
-      double abandon_above) const;
-
-  /// Distance-only convenience wrapper.
-  double Distance(const ts::TimeSeries& x, const ts::TimeSeries& y) const;
 
   /// Builds the constraint band only (no DP) — exposed for analysis,
   /// visualisation, and combination with other kernels (e.g.
@@ -157,12 +150,6 @@ class Sdtw {
                              BandScratch& scratch) const;
 
  private:
-  SdtwResult CompareImpl(const ts::TimeSeries& x,
-                         const std::vector<sift::Keypoint>& features_x,
-                         const ts::TimeSeries& y,
-                         const std::vector<sift::Keypoint>& features_y,
-                         bool abandon, double abandon_above) const;
-
   SdtwOptions options_;
 };
 

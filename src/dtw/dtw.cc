@@ -69,18 +69,20 @@ std::vector<PathPoint> BacktrackImpl(const MatrixAt& at, std::size_t n,
 // the cost baked in — resolved once per call by the kernels below, so the
 // per-row cost is one predictable indirect call. The kernel re-initialises
 // every cell and pad it reads, so a reused scratch needs no clearing.
-// With `abandon`, returns +inf as soon as every filled cell of a row
-// exceeds `threshold`. Reports the number of cells filled (finite
-// predecessors only, the paper's work measure) when `cells_filled` is
-// non-null; counting is skipped entirely otherwise. When `sink` is
+// A finite `abandon_above` returns +inf as soon as every filled cell of a
+// row (or the final distance) exceeds it; a non-finite one never abandons.
+// This is the one abandon path of every kernel. Reports the number of
+// cells filled (finite predecessors only, the paper's work measure) when
+// `cells_filled` is non-null; counting is skipped entirely otherwise. When `sink` is
 // non-null it is called as sink(i, row, w) after each non-empty DP row i
 // is filled (the path-preserving kernels copy rows into their band
 // matrices through it).
 template <typename WindowFn, typename RowSink>
 double RollingWindowKernel(const ts::TimeSeries& x, const ts::TimeSeries& y,
-                           WindowFn window, bool abandon, double threshold,
+                           WindowFn window, double abandon_above,
                            RowFillFn fill, DtwScratch& scratch,
                            std::size_t* cells_filled, RowSink sink) {
+  const bool abandon = std::isfinite(abandon_above);
   const std::size_t n = x.size();
   const std::size_t m = y.size();
   double* prev = scratch.prev_row();
@@ -101,7 +103,7 @@ double RollingWindowKernel(const ts::TimeSeries& x, const ts::TimeSeries& y,
                      y.values().data(), cost_row, flag_row, cells_ptr);
       sink(i, cur, chi - clo + 1);
     }
-    if (abandon && row_min > threshold) {
+    if (abandon && row_min > abandon_above) {
       if (cells_filled != nullptr) *cells_filled = cells;
       return kInf;
     }
@@ -111,7 +113,7 @@ double RollingWindowKernel(const ts::TimeSeries& x, const ts::TimeSeries& y,
   }
   if (cells_filled != nullptr) *cells_filled = cells;
   const double d = m >= plo && m <= phi ? prev[m - plo] : kInf;
-  if (abandon) return d <= threshold ? d : kInf;
+  if (abandon) return d <= abandon_above ? d : kInf;
   return d;
 }
 
@@ -127,7 +129,7 @@ struct DiscardRows {
 // row-fill variant comes from the scratch (pinned by retrieval workers,
 // process-wide active otherwise).
 double BandedRollingKernel(const ts::TimeSeries& x, const ts::TimeSeries& y,
-                           const Band& band, bool abandon, double threshold,
+                           const Band& band, double abandon_above,
                            CostKind cost, DtwScratch& scratch,
                            std::size_t* cells_filled,
                            std::size_t* cells_allocated) {
@@ -138,7 +140,7 @@ double BandedRollingKernel(const ts::TimeSeries& x, const ts::TimeSeries& y,
   return RollingWindowKernel(
       x, y,
       [&band, m](std::size_t r) { return DpWindow(band.row(r), m); },
-      abandon, threshold, scratch.kernel().fill(cost), scratch, cells_filled,
+      abandon_above, scratch.kernel().fill(cost), scratch, cells_filled,
       DiscardRows{});
 }
 
@@ -146,19 +148,21 @@ double BandedRollingKernel(const ts::TimeSeries& x, const ts::TimeSeries& y,
 // same code path (and bit-identical results) as the historical dedicated
 // two-row implementation.
 double FullRollingKernel(const ts::TimeSeries& x, const ts::TimeSeries& y,
-                         bool abandon, double threshold, CostKind cost,
+                         double abandon_above, CostKind cost,
                          DtwScratch& scratch) {
   const std::size_t m = y.size();
   scratch.EnsureWidth(m + 1);
   return RollingWindowKernel(
       x, y,
       [m](std::size_t) { return std::pair<std::size_t, std::size_t>{1, m}; },
-      abandon, threshold, scratch.kernel().fill(cost), scratch, nullptr,
+      abandon_above, scratch.kernel().fill(cost), scratch, nullptr,
       DiscardRows{});
 }
 
-DtwResult DtwFullImpl(const ts::TimeSeries& x, const ts::TimeSeries& y,
-                      const DtwOptions& options) {
+}  // namespace
+
+DtwResult Dtw(const ts::TimeSeries& x, const ts::TimeSeries& y,
+              const DtwOptions& options) {
   DtwResult result;
   const std::size_t n = x.size();
   const std::size_t m = y.size();
@@ -168,8 +172,8 @@ DtwResult DtwFullImpl(const ts::TimeSeries& x, const ts::TimeSeries& y,
   scratch.set_kernel(options.kernel);
   if (!options.want_path) {
     // Distance-only: the rolling kernel needs no (n+1)x(m+1) matrix.
-    result.distance = FullRollingKernel(x, y, /*abandon=*/false, kInf,
-                                        options.cost, scratch);
+    result.distance =
+        FullRollingKernel(x, y, kNoAbandon, options.cost, scratch);
     result.cells_filled = n * m;
     result.cells_allocated = 2 * stride;
     return result;
@@ -184,8 +188,7 @@ DtwResult DtwFullImpl(const ts::TimeSeries& x, const ts::TimeSeries& y,
   RollingWindowKernel(
       x, y,
       [m](std::size_t) { return std::pair<std::size_t, std::size_t>{1, m}; },
-      /*abandon=*/false, kInf, scratch.kernel().fill(options.cost), scratch,
-      nullptr,
+      kNoAbandon, scratch.kernel().fill(options.cost), scratch, nullptr,
       [&d, stride](std::size_t i, const double* row, std::size_t w) {
         std::memcpy(d.data() + i * stride + 1, row, w * sizeof(double));
       });
@@ -200,9 +203,9 @@ DtwResult DtwFullImpl(const ts::TimeSeries& x, const ts::TimeSeries& y,
   return result;
 }
 
-DtwResult DtwBandedImpl(const ts::TimeSeries& x, const ts::TimeSeries& y,
-                        const Band& band, bool abandon, double threshold,
-                        const DtwOptions& options) {
+DtwResult DtwBanded(const ts::TimeSeries& x, const ts::TimeSeries& y,
+                    const Band& band, const DtwOptions& options,
+                    double abandon_above) {
   DtwResult result;
   const std::size_t n = x.size();
   const std::size_t m = y.size();
@@ -213,9 +216,8 @@ DtwResult DtwBandedImpl(const ts::TimeSeries& x, const ts::TimeSeries& y,
     // Distance-only: no cell needs to outlive its row, so the rolling
     // kernel's two band-width buffers suffice.
     result.distance =
-        BandedRollingKernel(x, y, band, abandon, threshold, options.cost,
-                            scratch, &result.cells_filled,
-                            &result.cells_allocated);
+        BandedRollingKernel(x, y, band, abandon_above, options.cost, scratch,
+                            &result.cells_filled, &result.cells_allocated);
     return result;
   }
   // Path-preserving: keep every in-band cell (and nothing else) so the
@@ -228,15 +230,14 @@ DtwResult DtwBandedImpl(const ts::TimeSeries& x, const ts::TimeSeries& y,
   const double distance = RollingWindowKernel(
       x, y,
       [&band, m](std::size_t r) { return DpWindow(band.row(r), m); },
-      abandon, threshold, scratch.kernel().fill(options.cost), scratch,
-      &cells,
+      abandon_above, scratch.kernel().fill(options.cost), scratch, &cells,
       [&d](std::size_t i, const double* row, std::size_t w) {
         std::memcpy(d.row_data(i), row, w * sizeof(double));
       });
   result.cells_filled = cells;
   result.cells_allocated = d.cells_allocated();
   if (!std::isfinite(distance)) {
-    // Abandoned (every continuation already exceeds the threshold) or no
+    // Abandoned (every continuation already exceeds abandon_above) or no
     // feasible path: distance stays +infinity, no backtrack.
     return result;
   }
@@ -245,8 +246,6 @@ DtwResult DtwBandedImpl(const ts::TimeSeries& x, const ts::TimeSeries& y,
       [&](std::size_t i, std::size_t j) { return d.at(i, j); }, n, m);
   return result;
 }
-
-}  // namespace
 
 void DtwScratch::EnsureWidth(std::size_t width) {
   if (width <= width_ && !cells_.empty()) return;
@@ -270,23 +269,6 @@ void DtwScratch::EnsureWidth(std::size_t width) {
   cost_off_ = cur_off_ + stride;
 }
 
-DtwResult Dtw(const ts::TimeSeries& x, const ts::TimeSeries& y,
-              const DtwOptions& options) {
-  return DtwFullImpl(x, y, options);
-}
-
-DtwResult DtwBanded(const ts::TimeSeries& x, const ts::TimeSeries& y,
-                    const Band& band, const DtwOptions& options) {
-  return DtwBandedImpl(x, y, band, /*abandon=*/false, kInf, options);
-}
-
-DtwResult DtwBandedEarlyAbandon(const ts::TimeSeries& x,
-                                const ts::TimeSeries& y, const Band& band,
-                                double threshold,
-                                const DtwOptions& options) {
-  return DtwBandedImpl(x, y, band, /*abandon=*/true, threshold, options);
-}
-
 double DtwDistance(const ts::TimeSeries& x, const ts::TimeSeries& y,
                    CostKind cost) {
   DtwScratch scratch;
@@ -294,9 +276,9 @@ double DtwDistance(const ts::TimeSeries& x, const ts::TimeSeries& y,
 }
 
 double DtwDistance(const ts::TimeSeries& x, const ts::TimeSeries& y,
-                   CostKind cost, DtwScratch& scratch) {
+                   CostKind cost, DtwScratch& scratch, double abandon_above) {
   if (x.empty() || y.empty()) return kInf;
-  return FullRollingKernel(x, y, /*abandon=*/false, kInf, cost, scratch);
+  return FullRollingKernel(x, y, abandon_above, cost, scratch);
 }
 
 double DtwBandedDistance(const ts::TimeSeries& x, const ts::TimeSeries& y,
@@ -306,48 +288,14 @@ double DtwBandedDistance(const ts::TimeSeries& x, const ts::TimeSeries& y,
 }
 
 double DtwBandedDistance(const ts::TimeSeries& x, const ts::TimeSeries& y,
-                         const Band& band, CostKind cost,
-                         DtwScratch& scratch) {
+                         const Band& band, CostKind cost, DtwScratch& scratch,
+                         double abandon_above) {
   if (x.empty() || y.empty() || band.n() != x.size() ||
       band.m() != y.size()) {
     return kInf;
   }
-  return BandedRollingKernel(x, y, band, /*abandon=*/false, kInf, cost,
-                             scratch, nullptr, nullptr);
-}
-
-double DtwDistanceEarlyAbandon(const ts::TimeSeries& x,
-                               const ts::TimeSeries& y, double threshold,
-                               CostKind cost) {
-  DtwScratch scratch;
-  return DtwDistanceEarlyAbandon(x, y, threshold, cost, scratch);
-}
-
-double DtwDistanceEarlyAbandon(const ts::TimeSeries& x,
-                               const ts::TimeSeries& y, double threshold,
-                               CostKind cost, DtwScratch& scratch) {
-  if (x.empty() || y.empty()) return kInf;
-  return FullRollingKernel(x, y, /*abandon=*/true, threshold, cost, scratch);
-}
-
-double DtwBandedDistanceEarlyAbandon(const ts::TimeSeries& x,
-                                     const ts::TimeSeries& y,
-                                     const Band& band, double threshold,
-                                     CostKind cost) {
-  DtwScratch scratch;
-  return DtwBandedDistanceEarlyAbandon(x, y, band, threshold, cost, scratch);
-}
-
-double DtwBandedDistanceEarlyAbandon(const ts::TimeSeries& x,
-                                     const ts::TimeSeries& y,
-                                     const Band& band, double threshold,
-                                     CostKind cost, DtwScratch& scratch) {
-  if (x.empty() || y.empty() || band.n() != x.size() ||
-      band.m() != y.size()) {
-    return kInf;
-  }
-  return BandedRollingKernel(x, y, band, /*abandon=*/true, threshold, cost,
-                             scratch, nullptr, nullptr);
+  return BandedRollingKernel(x, y, band, abandon_above, cost, scratch,
+                             nullptr, nullptr);
 }
 
 bool IsValidWarpPath(const std::vector<PathPoint>& path, std::size_t n,

@@ -19,12 +19,18 @@
 /// The banded kernels use band-compressed storage in two modes so that
 /// memory follows the band, not the grid:
 ///  * distance-only: two rolling buffers sized to the widest band row
-///    (O(max band-row width) doubles), used by DtwBandedDistance,
-///    DtwBandedDistanceEarlyAbandon, and DtwBanded when want_path is off;
+///    (O(max band-row width) doubles), used by DtwBandedDistance and by
+///    DtwBanded when want_path is off;
 ///  * path-preserving: a BandMatrix holding only the Σ(hi−lo+1) in-band
 ///    cells with per-row offsets, walked by a band-aware backtrack.
 /// Both produce distances, paths, and cells_filled identical to a fully
 /// materialised (N+1)x(M+1) matrix.
+///
+/// Best-so-far early abandoning is one trailing argument, `abandon_above`,
+/// of DtwBanded and the scratch-buffer distance kernels: a finite value
+/// makes the DP return +infinity as soon as every filled cell of a row (or
+/// the final distance) exceeds it; kNoAbandon — or any other non-finite
+/// value — never abandons, so the result is bitwise the plain DP's.
 
 #include <cstddef>
 #include <limits>
@@ -134,6 +140,10 @@ class DtwScratch {
   const RowKernelOps* kernel_ = nullptr;  ///< Pinned variant; never owned.
 };
 
+/// The `abandon_above` value that never abandons: the DP runs to the end
+/// and returns the exact distance.
+inline constexpr double kNoAbandon = std::numeric_limits<double>::infinity();
+
 /// Full O(NM) DTW between x and y (paper §2.1.3).
 DtwResult Dtw(const ts::TimeSeries& x, const ts::TimeSeries& y,
               const DtwOptions& options = {});
@@ -144,8 +154,16 @@ DtwResult Dtw(const ts::TimeSeries& x, const ts::TimeSeries& y,
 /// +infinity. If the band is infeasible the result distance is +infinity.
 /// Storage is band-compressed: Σ band-row widths cells when a path is
 /// requested, two rolling band-width rows otherwise.
+///
+/// With a finite `abandon_above` (a retrieval loop's best-so-far), the DP
+/// stops as soon as every filled cell of a band row — or the final
+/// distance — exceeds it, and returns distance = +infinity with an empty
+/// path and the cells filled so far. Otherwise the result is identical to
+/// the non-abandoning call, so loops that want alignments prune as
+/// aggressively as distance-only ones.
 DtwResult DtwBanded(const ts::TimeSeries& x, const ts::TimeSeries& y,
-                    const Band& band, const DtwOptions& options = {});
+                    const Band& band, const DtwOptions& options = {},
+                    double abandon_above = kNoAbandon);
 
 /// Distance-only DTW using two rolling rows (O(min work) memory). Roughly
 /// 2x faster than Dtw() with paths disabled on large inputs.
@@ -158,49 +176,23 @@ double DtwBandedDistance(const ts::TimeSeries& x, const ts::TimeSeries& y,
                          const Band& band,
                          CostKind cost = CostKind::kAbsolute);
 
-/// Distance-only DTW with early abandoning: returns +infinity as soon as the
-/// running minimum of a row exceeds `threshold` (used by retrieval loops).
-double DtwDistanceEarlyAbandon(const ts::TimeSeries& x,
-                               const ts::TimeSeries& y, double threshold,
-                               CostKind cost = CostKind::kAbsolute);
-
-/// Banded distance with early abandoning: +infinity as soon as every cell
-/// of a band row exceeds `threshold`. Combines sDTW's band pruning with the
-/// best-so-far pruning of retrieval loops.
-double DtwBandedDistanceEarlyAbandon(const ts::TimeSeries& x,
-                                     const ts::TimeSeries& y,
-                                     const Band& band, double threshold,
-                                     CostKind cost = CostKind::kAbsolute);
-
 /// \name Scratch-buffer variants
 /// Identical results to the allocation-owning kernels above (bit for bit),
 /// but the rolling rows live in the caller-provided DtwScratch, which is
 /// grown on demand and reused across calls. These are the hot-loop entry
-/// points of the batched retrieval engine.
+/// points of the batched retrieval engine. A finite `abandon_above` (the
+/// caller's best-so-far) returns +infinity as soon as every cell of a DP
+/// row — or the final distance — exceeds it; combined with a band, this
+/// composes sDTW's band pruning with the best-so-far pruning of retrieval
+/// loops.
 /// @{
 double DtwDistance(const ts::TimeSeries& x, const ts::TimeSeries& y,
-                   CostKind cost, DtwScratch& scratch);
-double DtwDistanceEarlyAbandon(const ts::TimeSeries& x,
-                               const ts::TimeSeries& y, double threshold,
-                               CostKind cost, DtwScratch& scratch);
+                   CostKind cost, DtwScratch& scratch,
+                   double abandon_above = kNoAbandon);
 double DtwBandedDistance(const ts::TimeSeries& x, const ts::TimeSeries& y,
-                         const Band& band, CostKind cost,
-                         DtwScratch& scratch);
-double DtwBandedDistanceEarlyAbandon(const ts::TimeSeries& x,
-                                     const ts::TimeSeries& y,
-                                     const Band& band, double threshold,
-                                     CostKind cost, DtwScratch& scratch);
+                         const Band& band, CostKind cost, DtwScratch& scratch,
+                         double abandon_above = kNoAbandon);
 /// @}
-
-/// Path-preserving banded DTW with best-so-far early abandoning: as soon as
-/// every filled cell of a band row exceeds `threshold` (or the final
-/// distance does), returns distance = +infinity with an empty path and the
-/// cells filled so far. Otherwise identical to DtwBanded(). Lets retrieval
-/// loops that want alignments prune as aggressively as distance-only calls.
-DtwResult DtwBandedEarlyAbandon(const ts::TimeSeries& x,
-                                const ts::TimeSeries& y, const Band& band,
-                                double threshold,
-                                const DtwOptions& options = {});
 
 /// Validates warp-path structure per §2.1.1: starts at (0,0), ends at
 /// (N-1,M-1), steps ∈ {(1,0),(0,1),(1,1)}, and max(N,M) <= K <= N+M.

@@ -120,25 +120,5 @@ double LbKeogh(const ts::TimeSeries& x, const ts::TimeSeries& y,
   return LbKeogh(x, MakeEnvelope(y, r));
 }
 
-std::size_t BandMaxRadius(const Band& band) {
-  const std::size_t n = band.n();
-  const std::size_t m = band.m();
-  if (n == 0 || m == 0) return 0;
-  std::size_t radius = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double core = n > 1
-                            ? static_cast<double>(i) *
-                                  static_cast<double>(m - 1) /
-                                  static_cast<double>(n - 1)
-                            : 0.0;
-    const double dev_lo = core - static_cast<double>(band.row(i).lo);
-    const double dev_hi = static_cast<double>(band.row(i).hi) - core;
-    const double dev = std::max(std::abs(dev_lo), std::abs(dev_hi));
-    radius = std::max(radius,
-                      static_cast<std::size_t>(std::ceil(std::max(dev, 0.0))));
-  }
-  return radius;
-}
-
 }  // namespace dtw
 }  // namespace sdtw

@@ -14,7 +14,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "dtw/band.h"
 #include "dtw/cost.h"
 #include "ts/time_series.h"
 
@@ -90,11 +89,6 @@ double LbKeoghAbandoning(const ts::TimeSeries& x, const SeriesStats& y,
 /// LB_Keogh(x, env(y)).
 double LbKeogh(const ts::TimeSeries& x, const ts::TimeSeries& y,
                std::size_t r);
-
-/// Derives a per-row warping radius from a Band (the maximum deviation of
-/// the band from the diagonal), so LB_Keogh can be used together with
-/// sDTW's adaptive bands while remaining a valid bound.
-std::size_t BandMaxRadius(const Band& band);
 
 }  // namespace dtw
 }  // namespace sdtw

@@ -241,24 +241,18 @@ double BatchKnnEngine::CascadeDistance(const ts::TimeSeries& query,
   }
 
   if (stats != nullptr) ++stats->dp_evaluations;
+  const double abandon_above =
+      opt.use_early_abandon ? best_so_far : dtw::kNoAbandon;
+  double d = kInf;
   switch (opt.distance) {
     case DistanceKind::kEuclidean:
       return EuclideanDistance(query, target);
     case DistanceKind::kL1:
       return L1Distance(query, target);
     case DistanceKind::kFullDtw:
-      if (opt.use_early_abandon && std::isfinite(best_so_far)) {
-        const double d = dtw::DtwDistanceEarlyAbandon(
-            query, target, best_so_far, dtw::CostKind::kAbsolute,
-            scratch.dp());
-        if (!std::isfinite(d) && stats != nullptr) {
-          ++stats->pruned_by_early_abandon;
-          --stats->dp_evaluations;
-        }
-        return d;
-      }
-      return dtw::DtwDistance(query, target, dtw::CostKind::kAbsolute,
-                              scratch.dp());
+      d = dtw::DtwDistance(query, target, dtw::CostKind::kAbsolute,
+                           scratch.dp(), abandon_above);
+      break;
     case DistanceKind::kSdtw: {
       // Band pruning and best-so-far pruning compose: build the locally
       // relevant band in the worker's band scratch, then run the banded
@@ -269,33 +263,25 @@ double BatchKnnEngine::CascadeDistance(const ts::TimeSeries& query,
       const dtw::Band& band =
           engine.BuildBand(query, context.features, target,
                            index_.features_[candidate], scratch.band());
-      if (opt.use_early_abandon && std::isfinite(best_so_far)) {
-        const double d = dtw::DtwBandedDistanceEarlyAbandon(
-            query, target, band, best_so_far, engine.options().dtw.cost,
-            scratch.dp());
-        if (!std::isfinite(d) && stats != nullptr) {
-          ++stats->pruned_by_early_abandon;
-          --stats->dp_evaluations;
-        }
-        return d;
-      }
-      return dtw::DtwBandedDistance(query, target, band,
-                                    engine.options().dtw.cost, scratch.dp());
+      d = dtw::DtwBandedDistance(query, target, band,
+                                 engine.options().dtw.cost, scratch.dp(),
+                                 abandon_above);
+      break;
     }
   }
-  return kInf;
+  // +inf under a finite threshold means the DP was abandoned: move its
+  // count from the completed DPs to the early-abandon prunes.
+  if (!std::isfinite(d) && std::isfinite(abandon_above) && stats != nullptr) {
+    ++stats->pruned_by_early_abandon;
+    --stats->dp_evaluations;
+  }
+  return d;
 }
 
 std::vector<std::vector<Hit>> BatchKnnEngine::QueryBatch(
     std::span<const ts::TimeSeries> queries, std::size_t k,
-    std::vector<QueryStats>* stats) const {
-  return QueryBatchImpl(queries, k, {}, {}, stats, nullptr);
-}
-
-std::vector<std::vector<Hit>> BatchKnnEngine::QueryBatch(
-    std::span<const ts::TimeSeries> queries, std::size_t k,
-    std::span<const std::optional<std::size_t>> excludes,
-    std::vector<QueryStats>* stats) const {
+    std::vector<QueryStats>* stats,
+    std::span<const std::optional<std::size_t>> excludes) const {
   return QueryBatchImpl(queries, k, excludes, {}, stats, nullptr);
 }
 
@@ -304,21 +290,6 @@ std::vector<std::vector<Hit>> BatchKnnEngine::QueryBatchWithContexts(
     std::span<const QueryContext* const> contexts, std::size_t k,
     std::vector<QueryStats>* stats) const {
   return QueryBatchImpl(queries, k, {}, contexts, stats, nullptr);
-}
-
-core::StatusOr<std::vector<std::vector<Hit>>>
-BatchKnnEngine::TryQueryBatchWithContexts(
-    std::span<const ts::TimeSeries> queries,
-    std::span<const QueryContext* const> contexts, std::size_t k,
-    std::vector<QueryStats>* stats) const {
-  try {
-    return QueryBatchWithContexts(queries, contexts, k, stats);
-  } catch (const std::exception& e) {
-    return core::Status(core::StatusCode::kWorkerFault, e.what());
-  } catch (...) {
-    return core::Status(core::StatusCode::kUnknown,
-                        "non-exception thrown during batch scan");
-  }
 }
 
 std::vector<std::vector<Hit>> BatchKnnEngine::QueryBatchImpl(
@@ -485,14 +456,8 @@ std::vector<std::vector<Hit>> BatchKnnEngine::QueryBatchImpl(
 
 std::vector<std::vector<AlignedHit>> BatchKnnEngine::QueryBatchWithAlignments(
     std::span<const ts::TimeSeries> queries, std::size_t k,
-    std::vector<QueryStats>* stats) const {
-  return QueryBatchWithAlignments(queries, k, {}, stats);
-}
-
-std::vector<std::vector<AlignedHit>> BatchKnnEngine::QueryBatchWithAlignments(
-    std::span<const ts::TimeSeries> queries, std::size_t k,
-    std::span<const std::optional<std::size_t>> excludes,
-    std::vector<QueryStats>* stats) const {
+    std::vector<QueryStats>* stats,
+    std::span<const std::optional<std::size_t>> excludes) const {
   // Distance-only scan first, with the cascade pruning at full strength;
   // alignments are then recovered for the final k winners only.
   std::vector<QueryContext> contexts;
@@ -558,7 +523,7 @@ std::vector<std::vector<AlignedHit>> BatchKnnEngine::QueryBatchWithAlignments(
           // the same band with the same values, every row minimum is <=
           // the final distance, so the re-run can never abandon — it just
           // adds the backtrack.
-          core::SdtwResult res = path_engine->CompareEarlyAbandon(
+          core::SdtwResult res = path_engine->Compare(
               queries[q], contexts[q].features, target,
               index_.features_[candidate], aligned.hit.distance);
           aligned.path = std::move(res.path);
@@ -570,24 +535,6 @@ std::vector<std::vector<AlignedHit>> BatchKnnEngine::QueryBatchWithAlignments(
   return results;
 }
 
-std::vector<int> BatchKnnEngine::ClassifyBatch(
-    std::span<const ts::TimeSeries> queries, std::size_t k) const {
-  return ClassifyBatch(queries, k, {});
-}
-
-std::vector<int> BatchKnnEngine::ClassifyBatch(
-    std::span<const ts::TimeSeries> queries, std::size_t k,
-    std::span<const std::optional<std::size_t>> excludes,
-    std::vector<QueryStats>* stats) const {
-  const std::vector<std::vector<Hit>> hits =
-      QueryBatch(queries, k, excludes, stats);
-  std::vector<int> labels(hits.size(), -1);
-  for (std::size_t q = 0; q < hits.size(); ++q) {
-    labels[q] = VoteLabel(hits[q]);
-  }
-  return labels;
-}
-
 double BatchKnnEngine::LeaveOneOutAccuracy(std::size_t k,
                                            QueryStats* aggregate) const {
   if (aggregate != nullptr) *aggregate = QueryStats{};
@@ -596,11 +543,16 @@ double BatchKnnEngine::LeaveOneOutAccuracy(std::size_t k,
   std::vector<std::optional<std::size_t>> excludes(n);
   for (std::size_t i = 0; i < n; ++i) excludes[i] = i;
   std::vector<QueryStats> stats;
-  const std::vector<int> predicted = ClassifyBatch(
-      index_.series_, k, excludes, aggregate != nullptr ? &stats : nullptr);
+  const std::vector<std::vector<Hit>> hits = QueryBatch(
+      index_.series_, k, aggregate != nullptr ? &stats : nullptr, excludes);
   std::size_t correct = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (predicted[i] == index_.series_[i].label()) ++correct;
+    // An unlabelled series is never scored correct, so a -1 prediction
+    // (no hits, or only unlabelled neighbours) cannot match it.
+    const ts::TimeSeries& series = index_.series_[i];
+    if (series.has_label() && VoteLabel(hits[i]) == series.label()) {
+      ++correct;
+    }
     if (aggregate != nullptr) aggregate->Merge(stats[i]);
   }
   return static_cast<double>(correct) / static_cast<double>(n);

@@ -67,7 +67,6 @@
 #include <span>
 #include <vector>
 
-#include "core/status.h"
 #include "retrieval/knn.h"
 #include "retrieval/scratch.h"
 
@@ -101,10 +100,10 @@ struct BatchOptions {
 /// Produced by QueryBatchWithAlignments: the batch runs distance-only (so
 /// the cascade prunes at full strength), then only the final k winners per
 /// query are re-aligned — full DTW with backtracking for kFullDtw,
-/// core::Sdtw::CompareEarlyAbandon in path mode for kSdtw (same band, same
-/// DP values, abandon threshold pinned to the already-known distance so the
-/// re-run can never abandon), and the pointwise diagonal for the
-/// equal-length kEuclidean / kL1 baselines.
+/// core::Sdtw::Compare in path mode for kSdtw (same band, same DP values,
+/// `abandon_above` pinned to the already-known distance so the re-run can
+/// never abandon), and the pointwise diagonal for the equal-length
+/// kEuclidean / kL1 baselines.
 struct AlignedHit {
   Hit hit;
   std::vector<dtw::PathPoint> path;
@@ -126,18 +125,14 @@ class BatchKnnEngine {
   /// Returns, for every query, its k nearest indexed series in ascending
   /// (distance, index) order. `stats` (when non-null) receives one
   /// QueryStats per query with the cascade counters summing exactly to
-  /// the candidates scanned for that query.
+  /// the candidates scanned for that query. `excludes` is a per-query
+  /// exclusion (leave-one-out evaluation): excludes[q], when set, is an
+  /// index never reported for query q; it must be empty or match the
+  /// batch size. Majority-vote classification is VoteLabel over the hits.
   std::vector<std::vector<Hit>> QueryBatch(
       std::span<const ts::TimeSeries> queries, std::size_t k,
-      std::vector<QueryStats>* stats = nullptr) const;
-
-  /// As above with a per-query exclusion (leave-one-out evaluation):
-  /// excludes[q], when set, is an index never reported for query q.
-  /// `excludes` must be empty or match the batch size.
-  std::vector<std::vector<Hit>> QueryBatch(
-      std::span<const ts::TimeSeries> queries, std::size_t k,
-      std::span<const std::optional<std::size_t>> excludes,
-      std::vector<QueryStats>* stats = nullptr) const;
+      std::vector<QueryStats>* stats = nullptr,
+      std::span<const std::optional<std::size_t>> excludes = {}) const;
 
   /// The per-query derivative work of phase 1 (SeriesStats, salient
   /// features), exposed so a caching front-end can
@@ -158,19 +153,6 @@ class BatchKnnEngine {
       std::span<const QueryContext* const> contexts, std::size_t k,
       std::vector<QueryStats>* stats = nullptr) const;
 
-  /// QueryBatchWithContexts with failures as values instead of
-  /// exceptions: anything thrown during the scan — a worker fault on a
-  /// caller-supplied BatchExecutor (e.g. one injected at the service's
-  /// retrieval.worker site), or an exception transported out of an
-  /// internally spawned worker — comes back as
-  /// StatusCode::kWorkerFault (kUnknown for a non-std::exception throw).
-  /// The engine is stateless per call, so a failed call leaves it fully
-  /// usable; on ok() the hits are exactly QueryBatchWithContexts'.
-  core::StatusOr<std::vector<std::vector<Hit>>> TryQueryBatchWithContexts(
-      std::span<const ts::TimeSeries> queries,
-      std::span<const QueryContext* const> contexts, std::size_t k,
-      std::vector<QueryStats>* stats = nullptr) const;
-
   /// QueryBatch plus alignment recovery: identical hits (same distances,
   /// same cascade, same pruning — the batch itself runs distance-only),
   /// each carrying the optimal warp path of the query against that
@@ -178,29 +160,20 @@ class BatchKnnEngine {
   /// extra cost is at most num_queries × k path-mode comparisons — nearly
   /// free next to the pruned scan. `stats` counters cover the distance
   /// scan; the recovery re-runs are not counted as extra DP evaluations.
+  /// `excludes` is QueryBatch's.
   std::vector<std::vector<AlignedHit>> QueryBatchWithAlignments(
       std::span<const ts::TimeSeries> queries, std::size_t k,
-      std::vector<QueryStats>* stats = nullptr) const;
-  std::vector<std::vector<AlignedHit>> QueryBatchWithAlignments(
-      std::span<const ts::TimeSeries> queries, std::size_t k,
-      std::span<const std::optional<std::size_t>> excludes,
-      std::vector<QueryStats>* stats = nullptr) const;
-
-  /// Majority-vote kNN classification of every query (VoteLabel over the
-  /// QueryBatch hits); -1 for a query with no hits. Deterministic: ties
-  /// resolve by the smaller summed distance, then the smaller label,
-  /// regardless of worker completion order.
-  std::vector<int> ClassifyBatch(std::span<const ts::TimeSeries> queries,
-                                 std::size_t k) const;
-  std::vector<int> ClassifyBatch(
-      std::span<const ts::TimeSeries> queries, std::size_t k,
-      std::span<const std::optional<std::size_t>> excludes,
-      std::vector<QueryStats>* stats = nullptr) const;
+      std::vector<QueryStats>* stats = nullptr,
+      std::span<const std::optional<std::size_t>> excludes = {}) const;
 
   /// Leave-one-out classification accuracy over the indexed set — the
-  /// whole index is one batch, each series excluding itself. `aggregate`
-  /// (when non-null) receives the cascade counters summed over all
-  /// queries, e.g. for prune-rate reporting.
+  /// whole index is one batch, each series excluding itself and
+  /// predicting VoteLabel of its hits. A prediction is correct only when
+  /// the series is labelled (has_label()) and the prediction equals its
+  /// label, so a -1 prediction (no hits, or only unlabelled neighbours)
+  /// never counts; the denominator is the index size. `aggregate` (when
+  /// non-null) receives the cascade counters summed over all queries, e.g.
+  /// for prune-rate reporting.
   double LeaveOneOutAccuracy(std::size_t k,
                              QueryStats* aggregate = nullptr) const;
 
@@ -220,9 +193,11 @@ class BatchKnnEngine {
       std::vector<QueryContext>* contexts_out) const;
 
   /// The shared lower-bound cascade: LB_Kim (precomputed by the chunk
-  /// scheduler) → LB_Keogh (both directions) → (early-abandoning) DP,
-  /// against candidate `candidate` with the caller's best-so-far. Returns
-  /// +infinity when pruned. The one copy of the cascade logic;
+  /// scheduler) → LB_Keogh (both directions) → DP, against candidate
+  /// `candidate` with the caller's best-so-far. The DP is one call per
+  /// distance kind, with `abandon_above` set to the best-so-far when
+  /// KnnOptions::use_early_abandon is on (dtw::kNoAbandon otherwise).
+  /// Returns +infinity when pruned. The one copy of the cascade logic;
   /// single-query Query routes through it too.
   double CascadeDistance(const ts::TimeSeries& query,
                          const QueryContext& context, std::size_t candidate,

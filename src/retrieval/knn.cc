@@ -78,8 +78,8 @@ std::vector<Hit> KnnEngine::Query(const ts::TimeSeries& query, std::size_t k,
   std::vector<QueryStats> batch_stats;
   std::vector<std::vector<Hit>> hits = batch.QueryBatch(
       std::span<const ts::TimeSeries>(&query, 1), k,
-      std::span<const std::optional<std::size_t>>(&exclude, 1),
-      stats != nullptr ? &batch_stats : nullptr);
+      stats != nullptr ? &batch_stats : nullptr,
+      std::span<const std::optional<std::size_t>>(&exclude, 1));
   if (stats != nullptr) *stats = batch_stats[0];
   return std::move(hits[0]);
 }
@@ -87,13 +87,6 @@ std::vector<Hit> KnnEngine::Query(const ts::TimeSeries& query, std::size_t k,
 int KnnEngine::Classify(const ts::TimeSeries& query, std::size_t k,
                         std::optional<std::size_t> exclude) const {
   return VoteLabel(Query(query, k, exclude));
-}
-
-double KnnEngine::LeaveOneOutAccuracy(std::size_t k,
-                                      std::size_t num_threads) const {
-  BatchOptions batch_options;
-  batch_options.num_threads = num_threads;
-  return BatchKnnEngine(*this, batch_options).LeaveOneOutAccuracy(k);
 }
 
 }  // namespace retrieval

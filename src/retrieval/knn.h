@@ -141,9 +141,11 @@ int VoteLabel(const std::vector<Hit>& hits);
 ///
 /// Index construction extracts and caches per-series salient features and
 /// lower-bound summaries; queries reuse them (the paper's one-time
-/// extraction cost model). The query-time cascade itself lives in BatchKnnEngine
-/// (batch.h): Query() is a batch-of-one wrapper, so single-query and
-/// batched retrieval share one implementation.
+/// extraction cost model). The query-time cascade itself lives in
+/// BatchKnnEngine (batch.h): Query() is a batch-of-one wrapper, so
+/// single-query and batched retrieval share one implementation. Batches,
+/// alignment recovery and leave-one-out accuracy are BatchKnnEngine calls
+/// over this index.
 class KnnEngine {
  public:
   explicit KnnEngine(KnnOptions options = {});
@@ -168,12 +170,6 @@ class KnnEngine {
   /// Returns -1 on an empty index.
   int Classify(const ts::TimeSeries& query, std::size_t k,
                std::optional<std::size_t> exclude = std::nullopt) const;
-
-  /// Leave-one-out classification accuracy over the indexed set, executed
-  /// as one batch over `num_threads` workers (0 = hardware concurrency).
-  /// The result is deterministic regardless of the thread count.
-  double LeaveOneOutAccuracy(std::size_t k,
-                             std::size_t num_threads = 0) const;
 
  private:
   friend class BatchKnnEngine;

@@ -30,6 +30,26 @@ bool BitwiseEqual(std::span<const double> a, std::span<const double> b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
+/// One engine scan with failures as values instead of exceptions, for the
+/// fault isolation below: anything thrown during the scan — a worker fault
+/// on the service's pool (e.g. one injected at the retrieval.worker site)
+/// — comes back as StatusCode::kWorkerFault (kUnknown for a
+/// non-std::exception throw). The engine is stateless per call, so a
+/// failed scan leaves it fully usable; on ok() the hits are exactly
+/// QueryBatchWithContexts'.
+core::StatusOr<std::vector<std::vector<Hit>>> TryQueryBatch(
+    const BatchKnnEngine& engine, std::span<const ts::TimeSeries> queries,
+    std::span<const QueryContext* const> contexts, std::size_t k) {
+  try {
+    return engine.QueryBatchWithContexts(queries, contexts, k);
+  } catch (const std::exception& e) {
+    return core::Status(core::StatusCode::kWorkerFault, e.what());
+  } catch (...) {
+    return core::Status(core::StatusCode::kUnknown,
+                        "non-exception thrown during batch scan");
+  }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -396,8 +416,8 @@ core::StatusOr<QueryService::Hits> QueryService::RunGroupIsolated(
       core::MutexLock lock(mu_);
       ++retries_;
     }
-    auto result = engine_.TryQueryBatchWithContexts(
-        std::span<const ts::TimeSeries>(&rep, 1),
+    auto result = TryQueryBatch(
+        engine_, std::span<const ts::TimeSeries>(&rep, 1),
         std::span<const QueryContext* const>(contexts, 1), kmax);
     if (result.ok()) return std::move((*result)[0]);
     last = result.status();
@@ -474,7 +494,7 @@ void QueryService::ExecuteBatch(std::vector<Request> batch) {
       // phase-1 work paid once more.
       contexts[g] = keep_alive[g].get();
     }
-    auto result = engine_.TryQueryBatchWithContexts(reps, contexts, kmax);
+    auto result = TryQueryBatch(engine_, reps, contexts, kmax);
     if (result.ok()) {
       for (auto& hits : *result) group_results.push_back(std::move(hits));
     } else {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <gtest/gtest.h>
+#include <limits>
 
 #include "data/generators.h"
 #include "ts/random.h"
@@ -74,7 +75,7 @@ TEST(SdtwTest, BandFeasibleForAllConstraintTypes) {
   }
 }
 
-TEST(SdtwTest, CompareEarlyAbandonUnderThresholdMatchesCompare) {
+TEST(SdtwTest, CompareAbandonAboveUnderThresholdMatchesCompare) {
   SdtwOptions opt;
   opt.dtw.want_path = true;
   Sdtw engine(opt);
@@ -84,16 +85,19 @@ TEST(SdtwTest, CompareEarlyAbandonUnderThresholdMatchesCompare) {
   const auto fy = engine.ExtractFeatures(y);
   const SdtwResult full = engine.Compare(x, fx, y, fy);
   // An inclusive threshold (the exact distance) must change nothing:
-  // same distance, same alignment path, same band.
-  const SdtwResult ea =
-      engine.CompareEarlyAbandon(x, fx, y, fy, full.distance);
-  EXPECT_EQ(ea.distance, full.distance);
-  EXPECT_EQ(ea.path, full.path);
-  EXPECT_EQ(ea.band, full.band);
-  EXPECT_EQ(ea.cells_filled, full.cells_filled);
+  // same distance, same alignment path, same band. Neither must a NaN
+  // one, which is non-finite and so never abandons.
+  for (const double threshold :
+       {full.distance, std::numeric_limits<double>::quiet_NaN()}) {
+    const SdtwResult ea = engine.Compare(x, fx, y, fy, threshold);
+    EXPECT_EQ(ea.distance, full.distance) << threshold;
+    EXPECT_EQ(ea.path, full.path) << threshold;
+    EXPECT_EQ(ea.band, full.band) << threshold;
+    EXPECT_EQ(ea.cells_filled, full.cells_filled) << threshold;
+  }
 }
 
-TEST(SdtwTest, CompareEarlyAbandonAbandonsBelowThreshold) {
+TEST(SdtwTest, CompareAbandonAboveAbandonsBelowThreshold) {
   SdtwOptions opt;
   opt.dtw.want_path = true;
   Sdtw engine(opt);
@@ -103,11 +107,15 @@ TEST(SdtwTest, CompareEarlyAbandonAbandonsBelowThreshold) {
   const auto fy = engine.ExtractFeatures(y);
   const SdtwResult full = engine.Compare(x, fx, y, fy);
   ASSERT_GT(full.distance, 0.0);
-  const SdtwResult ea =
-      engine.CompareEarlyAbandon(x, fx, y, fy, full.distance / 2.0);
+  const SdtwResult ea = engine.Compare(x, fx, y, fy, full.distance / 2.0);
   EXPECT_TRUE(std::isinf(ea.distance));
   EXPECT_TRUE(ea.path.empty());
   EXPECT_LE(ea.cells_filled, full.cells_filled);
+  // A NaN threshold is non-finite: the comparison runs to the end.
+  const SdtwResult nan =
+      engine.Compare(x, fx, y, fy, std::numeric_limits<double>::quiet_NaN());
+  EXPECT_EQ(nan.distance, full.distance);
+  EXPECT_EQ(nan.path, full.path);
 }
 
 TEST(SdtwTest, PrunesWorkOnStructuredSeries) {
@@ -174,13 +182,6 @@ TEST(SdtwTest, TimingsPopulated) {
   EXPECT_GE(r.timing.matching_seconds, 0.0);
   EXPECT_GE(r.timing.dp_seconds, 0.0);
   EXPECT_GT(r.timing.total(), 0.0);
-}
-
-TEST(SdtwTest, DistanceHelperMatchesCompare) {
-  Sdtw engine;
-  const ts::TimeSeries x = Smooth(120, 18);
-  const ts::TimeSeries y = Smooth(120, 19);
-  EXPECT_DOUBLE_EQ(engine.Distance(x, y), engine.Compare(x, y).distance);
 }
 
 TEST(SdtwTest, BuildBandMatchesCompareBand) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <gtest/gtest.h>
+#include <limits>
 
 #include "dtw/band_matrix.h"
 
@@ -196,13 +197,17 @@ TEST(EarlyAbandonTest, ReturnsDistanceWhenUnderThreshold) {
   const ts::TimeSeries x({0.0, 1.0, 2.0});
   const ts::TimeSeries y({0.0, 1.1, 2.2});
   const double d = DtwDistance(x, y);
-  EXPECT_NEAR(DtwDistanceEarlyAbandon(x, y, d + 1.0), d, 1e-12);
+  DtwScratch scratch;
+  EXPECT_NEAR(DtwDistance(x, y, CostKind::kAbsolute, scratch, d + 1.0), d,
+              1e-12);
 }
 
 TEST(EarlyAbandonTest, AbandonsWhenOverThreshold) {
   const ts::TimeSeries x = ts::TimeSeries::Constant(20, 0.0);
   const ts::TimeSeries y = ts::TimeSeries::Constant(20, 10.0);
-  EXPECT_TRUE(std::isinf(DtwDistanceEarlyAbandon(x, y, 1.0)));
+  DtwScratch scratch;
+  EXPECT_TRUE(
+      std::isinf(DtwDistance(x, y, CostKind::kAbsolute, scratch, 1.0)));
 }
 
 TEST(WarpPathTest, ValidatorAcceptsCanonicalPath) {
@@ -249,15 +254,19 @@ TEST(BandedEarlyAbandonTest, AgreesWhenUnderThreshold) {
   const ts::TimeSeries y({0.1, 0.9, 2.1, 1.2, 0.4});
   const Band band = SakoeChibaBand(5, 5, 0.4);
   const double d = DtwBandedDistance(x, y, band);
-  EXPECT_NEAR(DtwBandedDistanceEarlyAbandon(x, y, band, d + 1.0), d, 1e-12);
+  DtwScratch scratch;
+  EXPECT_NEAR(
+      DtwBandedDistance(x, y, band, CostKind::kAbsolute, scratch, d + 1.0), d,
+      1e-12);
 }
 
 TEST(BandedEarlyAbandonTest, AbandonsWhenOverThreshold) {
   const ts::TimeSeries x = ts::TimeSeries::Constant(30, 0.0);
   const ts::TimeSeries y = ts::TimeSeries::Constant(30, 5.0);
   const Band band = SakoeChibaBand(30, 30, 0.2);
-  EXPECT_TRUE(
-      std::isinf(DtwBandedDistanceEarlyAbandon(x, y, band, 1.0)));
+  DtwScratch scratch;
+  EXPECT_TRUE(std::isinf(
+      DtwBandedDistance(x, y, band, CostKind::kAbsolute, scratch, 1.0)));
 }
 
 TEST(BandedEarlyAbandonTest, ThresholdIsInclusive) {
@@ -265,16 +274,20 @@ TEST(BandedEarlyAbandonTest, ThresholdIsInclusive) {
   const ts::TimeSeries y({1.0, 1.0});
   const Band band = Band::Full(2, 2);
   const double d = DtwBandedDistance(x, y, band);  // = 2.0
-  EXPECT_NEAR(DtwBandedDistanceEarlyAbandon(x, y, band, d), d, 1e-12);
-  EXPECT_TRUE(
-      std::isinf(DtwBandedDistanceEarlyAbandon(x, y, band, d - 0.5)));
+  DtwScratch scratch;
+  EXPECT_NEAR(DtwBandedDistance(x, y, band, CostKind::kAbsolute, scratch, d),
+              d, 1e-12);
+  EXPECT_TRUE(std::isinf(
+      DtwBandedDistance(x, y, band, CostKind::kAbsolute, scratch, d - 0.5)));
 }
 
 TEST(BandedEarlyAbandonTest, ShapeMismatchGivesInfinity) {
   const ts::TimeSeries x({1.0, 2.0, 3.0});
   const ts::TimeSeries y({1.0, 2.0});
-  EXPECT_TRUE(std::isinf(
-      DtwBandedDistanceEarlyAbandon(x, y, Band::Full(2, 2), 100.0)));
+  DtwScratch scratch;
+  EXPECT_TRUE(std::isinf(DtwBandedDistance(x, y, Band::Full(2, 2),
+                                           CostKind::kAbsolute, scratch,
+                                           100.0)));
 }
 
 TEST(DtwScratchTest, ReusedScratchMatchesFreshAllocationsBitwise) {
@@ -297,14 +310,12 @@ TEST(DtwScratchTest, ReusedScratchMatchesFreshAllocationsBitwise) {
   EXPECT_EQ(DtwDistance(a, c, CostKind::kSquared, scratch),
             DtwDistance(a, c, CostKind::kSquared));
   const double d_ab = DtwDistance(a, b);
-  EXPECT_EQ(
-      DtwDistanceEarlyAbandon(a, b, d_ab, CostKind::kAbsolute, scratch),
-      d_ab);
-  EXPECT_TRUE(std::isinf(DtwDistanceEarlyAbandon(
-      a, b, d_ab - 0.125, CostKind::kAbsolute, scratch)));
+  EXPECT_EQ(DtwDistance(a, b, CostKind::kAbsolute, scratch, d_ab), d_ab);
+  EXPECT_TRUE(std::isinf(
+      DtwDistance(a, b, CostKind::kAbsolute, scratch, d_ab - 0.125)));
   const double banded_ab = DtwBandedDistance(a, b, band_ab);
-  EXPECT_EQ(DtwBandedDistanceEarlyAbandon(a, b, band_ab, banded_ab,
-                                          CostKind::kAbsolute, scratch),
+  EXPECT_EQ(DtwBandedDistance(a, b, band_ab, CostKind::kAbsolute, scratch,
+                              banded_ab),
             banded_ab);
 }
 
@@ -337,13 +348,17 @@ TEST(BandedPathEarlyAbandonTest, UnderThresholdIdenticalToDtwBanded) {
   const ts::TimeSeries y({0.1, 1.0, -0.2, 0.6, 0.2, 0.9});
   const Band band = SakoeChibaBand(x.size(), y.size(), 0.5);
   const DtwResult full = DtwBanded(x, y, band);
-  const DtwResult ea =
-      DtwBandedEarlyAbandon(x, y, band, full.distance + 1.0);
-  EXPECT_EQ(ea.distance, full.distance);
-  EXPECT_EQ(ea.path, full.path);
-  EXPECT_EQ(ea.cells_filled, full.cells_filled);
+  // A threshold above the distance, and a NaN one (non-finite: never
+  // abandons), leave the result identical.
+  for (const double threshold :
+       {full.distance + 1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    const DtwResult ea = DtwBanded(x, y, band, {}, threshold);
+    EXPECT_EQ(ea.distance, full.distance) << threshold;
+    EXPECT_EQ(ea.path, full.path) << threshold;
+    EXPECT_EQ(ea.cells_filled, full.cells_filled) << threshold;
+  }
   // Inclusive threshold: exactly the distance still returns it.
-  const DtwResult at = DtwBandedEarlyAbandon(x, y, band, full.distance);
+  const DtwResult at = DtwBanded(x, y, band, {}, full.distance);
   EXPECT_EQ(at.distance, full.distance);
   EXPECT_EQ(at.path, full.path);
 }
@@ -354,7 +369,7 @@ TEST(BandedPathEarlyAbandonTest, AbandonsWithEmptyPathAndFewerCells) {
   const Band band = Band::Full(x.size(), y.size());
   const DtwResult full = DtwBanded(x, y, band);
   // Threshold below the first row's minimum (5.0): gives up immediately.
-  const DtwResult ea = DtwBandedEarlyAbandon(x, y, band, 1.0);
+  const DtwResult ea = DtwBanded(x, y, band, {}, 1.0);
   EXPECT_TRUE(std::isinf(ea.distance));
   EXPECT_TRUE(ea.path.empty());
   EXPECT_LT(ea.cells_filled, full.cells_filled);
@@ -367,7 +382,7 @@ TEST(BandedPathEarlyAbandonTest, FinalDistanceOverThresholdIsAbandoned) {
   const ts::TimeSeries y({0.0, 1.0, 2.0, 4.0});
   const Band band = Band::Full(4, 4);
   const double d = DtwBanded(x, y, band).distance;  // = 1.0
-  const DtwResult ea = DtwBandedEarlyAbandon(x, y, band, d * 0.5);
+  const DtwResult ea = DtwBanded(x, y, band, {}, d * 0.5);
   EXPECT_TRUE(std::isinf(ea.distance));
   EXPECT_TRUE(ea.path.empty());
 }
@@ -379,11 +394,10 @@ TEST(BandedPathEarlyAbandonTest, DistanceOnlyModeMatchesRollingKernel) {
   const ts::TimeSeries y({0.1, 1.0, -0.2, 0.6});
   const Band band = Band::Full(4, 4);
   const double d = DtwBandedDistance(x, y, band);
-  const DtwResult under = DtwBandedEarlyAbandon(x, y, band, d, opt);
+  const DtwResult under = DtwBanded(x, y, band, opt, d);
   EXPECT_EQ(under.distance, d);
   EXPECT_TRUE(under.path.empty());
-  EXPECT_TRUE(std::isinf(
-      DtwBandedEarlyAbandon(x, y, band, d - 0.25, opt).distance));
+  EXPECT_TRUE(std::isinf(DtwBanded(x, y, band, opt, d - 0.25).distance));
 }
 
 }  // namespace

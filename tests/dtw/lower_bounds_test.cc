@@ -279,19 +279,6 @@ TEST(SeriesStatsTest, EmptySeriesIsInvalidAndBoundsZero) {
   EXPECT_DOUBLE_EQ(LbKim(empty, other), 0.0);
 }
 
-TEST(BandMaxRadiusTest, SakoeChibaRadiusRecovered) {
-  const Band b = SakoeChibaBand(100, 100, 0.2);
-  const std::size_t r = BandMaxRadius(b);
-  // Half-width is ceil(0.2*100/2) = 10.
-  EXPECT_GE(r, 10u);
-  EXPECT_LE(r, 12u);
-}
-
-TEST(BandMaxRadiusTest, FullBandRadiusIsGridWidth) {
-  const Band b = Band::Full(10, 30);
-  EXPECT_GE(BandMaxRadius(b), 29u);
-}
-
 }  // namespace
 }  // namespace dtw
 }  // namespace sdtw

@@ -6,6 +6,7 @@
 
 #include "core/sdtw.h"
 #include "data/generators.h"
+#include "retrieval/batch.h"
 #include "retrieval/knn.h"
 #include "ts/time_series.h"
 
@@ -35,7 +36,8 @@ TEST(BuildSanityTest, EndToEndPipelineLinksAndRuns) {
   ASSERT_EQ(knn.size(), dataset.size());
   const int predicted = knn.Classify(dataset[0], 1, 0);
   EXPECT_GE(predicted, 0);
-  const double accuracy = knn.LeaveOneOutAccuracy(1);
+  const double accuracy =
+      retrieval::BatchKnnEngine(knn).LeaveOneOutAccuracy(1);
   EXPECT_GE(accuracy, 0.0);
   EXPECT_LE(accuracy, 1.0);
 }

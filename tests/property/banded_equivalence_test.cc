@@ -153,9 +153,10 @@ TEST_P(BandedEquivalenceTest, RollingDistanceMatchesPathVariant) {
     const DtwResult withpath = DtwBanded(x, y, band);
     EXPECT_DOUBLE_EQ(DtwBandedDistance(x, y, band), withpath.distance);
     // A threshold above the distance must not abandon.
-    EXPECT_DOUBLE_EQ(
-        DtwBandedDistanceEarlyAbandon(x, y, band, withpath.distance + 1.0),
-        withpath.distance);
+    DtwScratch scratch;
+    EXPECT_DOUBLE_EQ(DtwBandedDistance(x, y, band, CostKind::kAbsolute,
+                                       scratch, withpath.distance + 1.0),
+                     withpath.distance);
     // Distance-only mode fills the same cells as the path mode.
     DtwOptions no_path;
     no_path.want_path = false;

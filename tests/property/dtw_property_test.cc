@@ -137,7 +137,9 @@ TEST_P(DtwPropertyTest, EarlyAbandonAgreesWhenNotAbandoning) {
   const ts::TimeSeries x = RandomWalk(p.n, p.seed + 18);
   const ts::TimeSeries y = RandomWalk(p.m, p.seed + 19);
   const double d = DtwDistance(x, y);
-  EXPECT_NEAR(DtwDistanceEarlyAbandon(x, y, d * 2.0 + 1.0), d, 1e-9);
+  DtwScratch scratch;
+  EXPECT_NEAR(DtwDistance(x, y, CostKind::kAbsolute, scratch, d * 2.0 + 1.0),
+              d, 1e-9);
 }
 
 TEST_P(DtwPropertyTest, SquaredCostAlsoSymmetricAndBounded) {

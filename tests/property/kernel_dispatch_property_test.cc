@@ -230,9 +230,23 @@ TEST(KernelDispatchProperty, AbandonDecisionsIdenticalAcrossVariants) {
     const double ref =
         DtwBandedDistance(x, y, band, cost, ref_scratch);
     ASSERT_TRUE(std::isfinite(ref));
+    const double ref_full = DtwDistance(x, y, cost, ref_scratch);
     const double nudge = ref * 1e-12;
-    const double thresholds[] = {ref, ref - nudge, ref + nudge,
-                                 ref * 0.5, ref * 2.0 + 1.0, 0.0};
+    const double thresholds[] = {ref,
+                                 ref - nudge,
+                                 ref + nudge,
+                                 ref * 0.5,
+                                 ref * 2.0 + 1.0,
+                                 0.0,
+                                 kNoAbandon,
+                                 std::numeric_limits<double>::quiet_NaN()};
+    // A non-finite threshold, or one at or above the distance, keeps the
+    // non-abandoning distance bit for bit; anything else abandons.
+    const auto expected = [](double distance, double threshold) {
+      return !std::isfinite(threshold) || distance <= threshold
+                 ? distance
+                 : std::numeric_limits<double>::infinity();
+    };
     for (const RowKernelOps* ops : variants) {
       DtwScratch scratch;
       scratch.set_kernel(ops);
@@ -240,16 +254,20 @@ TEST(KernelDispatchProperty, AbandonDecisionsIdenticalAcrossVariants) {
           << ops->name;
       for (const double threshold : thresholds) {
         // Same decision AND same surviving bits as the portable variant.
-        const double ref_ea = DtwBandedDistanceEarlyAbandon(
-            x, y, band, threshold, cost, ref_scratch);
-        const double got_ea = DtwBandedDistanceEarlyAbandon(
-            x, y, band, threshold, cost, scratch);
+        const double ref_ea =
+            DtwBandedDistance(x, y, band, cost, ref_scratch, threshold);
+        const double got_ea =
+            DtwBandedDistance(x, y, band, cost, scratch, threshold);
         EXPECT_EQ(ref_ea, got_ea) << ops->name << " thr " << threshold;
-        const double ref_full_ea = DtwDistanceEarlyAbandon(
-            x, y, threshold, cost, ref_scratch);
+        EXPECT_EQ(expected(ref, threshold), got_ea)
+            << ops->name << " thr " << threshold;
+        const double ref_full_ea =
+            DtwDistance(x, y, cost, ref_scratch, threshold);
         const double got_full_ea =
-            DtwDistanceEarlyAbandon(x, y, threshold, cost, scratch);
+            DtwDistance(x, y, cost, scratch, threshold);
         EXPECT_EQ(ref_full_ea, got_full_ea)
+            << ops->name << " thr " << threshold;
+        EXPECT_EQ(expected(ref_full, threshold), got_full_ea)
             << ops->name << " thr " << threshold;
       }
     }

@@ -142,7 +142,8 @@ TEST_P(RetrievalPropertyTest, AlignmentRecoveryEqualsDirectComparePaths) {
   const BatchKnnEngine batch(engine, bopt);
   const std::vector<ts::TimeSeries> queries(ds.begin(), ds.begin() + 3);
   std::vector<std::optional<std::size_t>> excludes{0u, 1u, 2u};
-  const auto aligned = batch.QueryBatchWithAlignments(queries, 3, excludes);
+  const auto aligned =
+      batch.QueryBatchWithAlignments(queries, 3, nullptr, excludes);
   core::SdtwOptions path_options = opt.sdtw;
   path_options.dtw.want_path = true;
   const core::Sdtw reference(path_options);

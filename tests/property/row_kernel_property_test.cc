@@ -242,16 +242,23 @@ TEST(RowKernelProperty, EarlyAbandonDecisionMatchesReferenceExactly) {
 
     const double ref = ReferenceBandedDistance(x, y, band, cost, nullptr);
     ASSERT_TRUE(std::isfinite(ref));
-    // The abandoning kernel's contract: the exact distance iff it is
-    // <= threshold, +infinity otherwise — bit-identical distance when it
-    // survives, for thresholds straddling the true value.
+    // The abandoning kernel's contract: the exact distance iff the
+    // threshold is non-finite or >= it, +infinity otherwise — bit-identical
+    // distance when it survives, for thresholds straddling the true value.
     const double nudge = ref * 1e-12;
-    const double thresholds[] = {ref, ref - nudge, ref + nudge, ref * 0.5,
-                                 ref * 2.0 + 1.0, 0.0};
+    const double thresholds[] = {ref,
+                                 ref - nudge,
+                                 ref + nudge,
+                                 ref * 0.5,
+                                 ref * 2.0 + 1.0,
+                                 0.0,
+                                 kNoAbandon,
+                                 std::numeric_limits<double>::quiet_NaN()};
+    DtwScratch scratch;
     for (const double threshold : thresholds) {
       const double got =
-          DtwBandedDistanceEarlyAbandon(x, y, band, threshold, cost);
-      if (ref <= threshold) {
+          DtwBandedDistance(x, y, band, cost, scratch, threshold);
+      if (!std::isfinite(threshold) || ref <= threshold) {
         EXPECT_EQ(ref, got) << "trial " << trial << " thr " << threshold;
       } else {
         EXPECT_TRUE(std::isinf(got))
@@ -259,8 +266,8 @@ TEST(RowKernelProperty, EarlyAbandonDecisionMatchesReferenceExactly) {
       }
       const double ref_full =
           ReferenceBandedDistance(x, y, Band::Full(n, m), cost, nullptr);
-      const double got_full = DtwDistanceEarlyAbandon(x, y, threshold, cost);
-      if (ref_full <= threshold) {
+      const double got_full = DtwDistance(x, y, cost, scratch, threshold);
+      if (!std::isfinite(threshold) || ref_full <= threshold) {
         EXPECT_EQ(ref_full, got_full) << "trial " << trial;
       } else {
         EXPECT_TRUE(std::isinf(got_full)) << "trial " << trial;

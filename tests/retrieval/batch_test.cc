@@ -111,7 +111,7 @@ TEST(BatchKnnEngineTest, BatchOfOneBitwiseIdenticalToQuery) {
       const auto single = engine.Query(ds[q], 3, q);
       const std::vector<ts::TimeSeries> one{ds[q]};
       const std::vector<std::optional<std::size_t>> excludes{q};
-      const auto batched = batch.QueryBatch(one, 3, excludes);
+      const auto batched = batch.QueryBatch(one, 3, nullptr, excludes);
       ASSERT_EQ(batched.size(), 1u);
       ASSERT_EQ(batched[0].size(), single.size()) << q;
       for (std::size_t i = 0; i < single.size(); ++i) {
@@ -144,8 +144,8 @@ TEST(BatchKnnEngineTest, SingleWorkerNeverSplitsAQuery) {
       BatchOptions bopt;
       bopt.num_threads = 1;
       std::vector<QueryStats> batch_stats;
-      BatchKnnEngine(engine, bopt).QueryBatch(queries, 3, excludes,
-                                              &batch_stats);
+      BatchKnnEngine(engine, bopt).QueryBatch(queries, 3, &batch_stats,
+                                              excludes);
       for (std::size_t q = 0; q < queries.size(); ++q) {
         QueryStats single;
         engine.Query(queries[q], 3, excludes[q], &single);
@@ -255,7 +255,7 @@ TEST(BatchKnnEngineTest, ExcludesHonoredPerQuery) {
   const BatchKnnEngine batch(engine, bopt);
   const std::vector<ts::TimeSeries> queries = QueriesFrom(ds, 3);
   std::vector<std::optional<std::size_t>> excludes{0u, 1u, std::nullopt};
-  const auto hits = batch.QueryBatch(queries, 9, excludes);
+  const auto hits = batch.QueryBatch(queries, 9, nullptr, excludes);
   ASSERT_EQ(hits.size(), 3u);
   for (const Hit& h : hits[0]) EXPECT_NE(h.index, 0u);
   for (const Hit& h : hits[1]) EXPECT_NE(h.index, 1u);
@@ -292,9 +292,9 @@ TEST(BatchKnnEngineTest, StatsCountersSumExactlyToCandidates) {
         for (const bool with_alignments : {false, true}) {
           std::vector<QueryStats> stats;
           if (with_alignments) {
-            batch.QueryBatchWithAlignments(queries, 3, excludes, &stats);
+            batch.QueryBatchWithAlignments(queries, 3, &stats, excludes);
           } else {
-            batch.QueryBatch(queries, 3, excludes, &stats);
+            batch.QueryBatch(queries, 3, &stats, excludes);
           }
           ASSERT_EQ(stats.size(), queries.size());
           for (std::size_t q = 0; q < stats.size(); ++q) {
@@ -585,9 +585,9 @@ TEST(BatchKnnEngineTest, SdtwKeoghStageKeepsHitsBitwise) {
         bopt.chunk_size = 5;
         std::vector<QueryStats> stats;
         const auto keogh_hits = BatchKnnEngine(keogh_engine, bopt)
-                                    .QueryBatch(queries, 3, excludes, &stats);
+                                    .QueryBatch(queries, 3, &stats, excludes);
         const auto plain_hits = BatchKnnEngine(plain_engine, bopt)
-                                    .QueryBatch(queries, 3, excludes);
+                                    .QueryBatch(queries, 3, nullptr, excludes);
         for (std::size_t q = 0; q < queries.size(); ++q) {
           const std::string where =
               "cost " + std::to_string(static_cast<int>(cost)) + " order " +
@@ -674,7 +674,8 @@ TEST(BatchKnnEngineTest, SdtwAlignmentsNeverAbandonAndMatchDistances) {
   bopt.num_threads = 4;
   const BatchKnnEngine batch(engine, bopt);
   std::vector<std::optional<std::size_t>> excludes{0u, 1u, 2u, 3u};
-  const auto aligned = batch.QueryBatchWithAlignments(queries, 3, excludes);
+  const auto aligned =
+      batch.QueryBatchWithAlignments(queries, 3, nullptr, excludes);
   core::SdtwOptions path_options = opt.sdtw;
   path_options.dtw.want_path = true;
   const core::Sdtw reference(path_options);
@@ -725,10 +726,11 @@ TEST(BatchKnnEngineTest, ClassifyBatchMatchesSequentialClassify) {
   bopt.num_threads = 4;
   const BatchKnnEngine batch(engine, bopt);
   const std::vector<ts::TimeSeries> queries = QueriesFrom(ds, 8);
-  const std::vector<int> labels = batch.ClassifyBatch(queries, 3);
-  ASSERT_EQ(labels.size(), queries.size());
+  // Batch classification is VoteLabel over the QueryBatch hits.
+  const auto hits = batch.QueryBatch(queries, 3);
+  ASSERT_EQ(hits.size(), queries.size());
   for (std::size_t q = 0; q < queries.size(); ++q) {
-    EXPECT_EQ(labels[q], engine.Classify(queries[q], 3)) << q;
+    EXPECT_EQ(VoteLabel(hits[q]), engine.Classify(queries[q], 3)) << q;
   }
 }
 
@@ -757,7 +759,7 @@ TEST(BatchKnnEngineTest, ClassifyTieBreaksBySummedDistanceDeterministically) {
     const BatchKnnEngine batch(engine, bopt);
     for (int rep = 0; rep < 10; ++rep) {
       // Class 0 sums to 5.0, class 1 to 4.5: class 1 wins the vote tie.
-      EXPECT_EQ(batch.ClassifyBatch(queries, 4)[0], 1)
+      EXPECT_EQ(VoteLabel(batch.QueryBatch(queries, 4)[0]), 1)
           << threads << " rep " << rep;
     }
   }
@@ -780,9 +782,26 @@ TEST(BatchKnnEngineTest, LeaveOneOutAccuracyMatchesSequentialLoop) {
     bopt.num_threads = threads;
     const BatchKnnEngine batch(engine, bopt);
     EXPECT_DOUBLE_EQ(batch.LeaveOneOutAccuracy(1), expected) << threads;
-    EXPECT_DOUBLE_EQ(engine.LeaveOneOutAccuracy(1, threads), expected)
-        << threads;
   }
+}
+
+TEST(BatchKnnEngineTest, LeaveOneOutNeverScoresAnUnlabelledQueryCorrect) {
+  // An unlabelled query "predicts" -1 when it has no hits or only
+  // unlabelled neighbours; that must not count as matching its own -1.
+  ts::Dataset lone;
+  lone.Add(ts::TimeSeries({0.0, 1.0, 0.5, 2.0}));  // no candidate at all
+  KnnEngine lone_engine;
+  lone_engine.Index(lone);
+  EXPECT_EQ(BatchKnnEngine(lone_engine).LeaveOneOutAccuracy(1), 0.0);
+
+  ts::Dataset stripped;
+  for (ts::TimeSeries s : SmallGun(20)) {
+    s.set_label(-1);
+    stripped.Add(std::move(s));
+  }
+  KnnEngine stripped_engine;
+  stripped_engine.Index(stripped);
+  EXPECT_EQ(BatchKnnEngine(stripped_engine).LeaveOneOutAccuracy(1), 0.0);
 }
 
 TEST(BatchKnnEngineTest, KLargerThanIndexReturnsAllSorted) {
