@@ -6,8 +6,10 @@
 //   loop@T     T submitter threads doing the same direct Query calls
 //              (the strongest no-service baseline at T clients);
 //   service    T submitter threads pushing the same requests through
-//              QueryService: bounded admission, size-or-deadline
-//              micro-batching, persistent workers with reused scratch,
+//              QueryService: bounded admission, the default
+//              work-conserving micro-batching (requests that queue up
+//              during a scan leave together as the next batch, up to
+//              max_batch), persistent workers with reused scratch,
 //              content-keyed derivative caching, in-batch duplicate
 //              coalescing.
 //
@@ -81,7 +83,6 @@ struct Scale {
   std::size_t k = 5;
   std::size_t submitters = 8;
   std::size_t max_batch = 64;
-  std::size_t max_delay_us = 2000;
   std::size_t cache_capacity = 256;
 };
 
@@ -214,9 +215,9 @@ int main(int argc, char** argv) {
   std::printf(
       "retrieval service: %zu requests over %zu distinct queries, "
       "%zu indexed series (len %zu), k=%zu, %zu submitters, "
-      "max_batch=%zu, max_delay=%zuus\n\n",
+      "max_batch=%zu\n\n",
       scale.requests, scale.unique_queries, index_set.size(), scale.length,
-      scale.k, scale.submitters, scale.max_batch, scale.max_delay_us);
+      scale.k, scale.submitters, scale.max_batch);
 
   // --- Baseline 1: sequential single-query loop. --------------------------
   const auto t_seq = std::chrono::steady_clock::now();
@@ -253,7 +254,6 @@ int main(int argc, char** argv) {
   // --- The service. --------------------------------------------------------
   retrieval::ServiceOptions sopt;
   sopt.max_batch = scale.max_batch;
-  sopt.max_delay = std::chrono::microseconds(scale.max_delay_us);
   sopt.queue_capacity = std::max<std::size_t>(scale.requests, 64);
   sopt.cache_capacity = scale.cache_capacity;
   retrieval::QueryService service(engine, sopt);
@@ -430,7 +430,7 @@ int main(int argc, char** argv) {
         "{\n"
         "    \"scale\": {\"series\": %zu, \"length\": %zu, "
         "\"unique_queries\": %zu, \"requests\": %zu, \"k\": %zu, "
-        "\"submitters\": %zu, \"max_batch\": %zu, \"max_delay_us\": %zu, "
+        "\"submitters\": %zu, \"max_batch\": %zu, \"max_delay_us\": %lld, "
         "\"cache_capacity\": %zu, \"smoke\": %s},\n"
         "    \"seq_loop_seconds\": %.6f,\n"
         "    \"loop_seconds\": %.6f,\n"
@@ -449,7 +449,8 @@ int main(int argc, char** argv) {
         "    \"faults\": %s\n"
         "  }",
         scale.num_series, scale.length, scale.unique_queries, scale.requests,
-        scale.k, scale.submitters, scale.max_batch, scale.max_delay_us,
+        scale.k, scale.submitters, scale.max_batch,
+        static_cast<long long>(sopt.max_delay.count()),
         scale.cache_capacity, config.smoke ? "true" : "false", seq_seconds,
         loop_seconds, service_seconds, seq_qps, loop_qps, service_qps,
         speedup, m.batches, coalesce_rate, cache_hit_rate, m.latency.count,

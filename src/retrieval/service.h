@@ -24,13 +24,17 @@
 ///    dispatcher sheds already-expired requests by popping the head, not
 ///    by scanning. A shed request's future completes with
 ///    StatusCode::kDeadlineExceeded before any DP evaluation runs for it.
-///    Batch cutting respects the earliest queued deadline: a deadline
-///    closer than max_delay cuts the batch immediately instead of
-///    waiting out the age trigger.
-///  * **Micro-batching.** A dispatcher thread coalesces queued requests
-///    into batches cut by whichever fires first: the batch reaches
-///    `max_batch` requests, the oldest queued request has waited
-///    `max_delay`, or a queued deadline is imminent. Duplicate queries
+///    Each batch takes the queue head in EDF order. Under a positive
+///    max_delay, a queued deadline closer than max_delay cuts the batch
+///    immediately instead of waiting out the age trigger.
+///  * **Micro-batching.** A dispatcher thread runs one batch at a time.
+///    By default (max_delay 0) it cuts the next batch the moment it is
+///    free: everything queued, up to `max_batch` requests. Requests that
+///    arrive during a scan therefore leave together as the next batch,
+///    while a request that finds the dispatcher idle starts its scan at
+///    once. A positive max_delay instead holds a short batch until the
+///    oldest queued request has waited that long, the batch reaches
+///    `max_batch`, or a queued deadline is imminent. Duplicate queries
 ///    inside one batch (bitwise-equal sample values) are coalesced into a
 ///    single scan at the largest requested k and the result is truncated
 ///    per request.
@@ -189,8 +193,8 @@ struct RequestOptions {
   /// none. A request still queued when its deadline passes is shed: its
   /// future completes with StatusCode::kDeadlineExceeded and no DP
   /// evaluation ever runs for it. A deadline also promotes the request
-  /// in the admission queue (EDF) and cuts the batch early when closer
-  /// than max_delay.
+  /// in the admission queue (EDF); under a positive max_delay it cuts the
+  /// batch early when closer than max_delay.
   std::chrono::steady_clock::time_point deadline =
       std::chrono::steady_clock::time_point::max();
   /// Tie-break among equal deadlines (and among no-deadline requests):
@@ -208,12 +212,17 @@ struct RequestOptions {
 
 /// \brief QueryService configuration.
 struct ServiceOptions {
-  /// Batch cut when this many requests are queued...
+  /// Most requests one batch takes from the queue head.
   std::size_t max_batch = 32;
-  /// ...or when the oldest queued request has waited this long, whichever
-  /// comes first. 0 cuts as soon as the dispatcher wakes (no coalescing
-  /// beyond what queue pressure provides).
-  std::chrono::microseconds max_delay{2000};
+  /// 0 (the default) is work-conserving: the dispatcher cuts a batch the
+  /// moment it is free, so batches form from the requests that queued up
+  /// during the previous scan. A positive value holds a batch short of
+  /// max_batch, even a lone request, until its oldest request has waited
+  /// this long or the head's deadline is closer than max_delay (the
+  /// imminent-deadline early cut, which only a positive value has).
+  /// Tests use a long max_delay to park requests in the queue, which
+  /// composes batches deterministically.
+  std::chrono::microseconds max_delay{0};
   /// Bounded admission queue; at capacity `admission` applies.
   std::size_t queue_capacity = 1024;
   AdmissionPolicy admission = AdmissionPolicy::kBlock;

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -40,9 +41,17 @@ std::optional<TimeSeries> ParseUcrLine(const std::string& line) {
   std::vector<double> fields;
   if (!Tokenize(line, &fields)) return std::nullopt;
   if (fields.size() < 2) return std::nullopt;
-  const int label = static_cast<int>(std::lround(fields[0]));
+  // The label names a class, so only a finite integer within int range is
+  // one. Rounding or wrapping anything else (nan, inf, 1.5, 3e9) would
+  // file the series under some real class, or under -1 (unlabelled).
+  const double label = fields[0];
+  if (!std::isfinite(label) || std::trunc(label) != label ||
+      label < std::numeric_limits<int>::min() ||
+      label > std::numeric_limits<int>::max()) {
+    return std::nullopt;
+  }
   std::vector<double> values(fields.begin() + 1, fields.end());
-  return TimeSeries(std::move(values), label);
+  return TimeSeries(std::move(values), static_cast<int>(label));
 }
 
 Dataset ReadUcr(std::istream& in, const std::string& name) {

@@ -20,10 +20,13 @@ namespace sdtw {
 namespace ts {
 
 /// Parses one UCR-format line ("label v1 v2 ..."). Returns std::nullopt on
-/// blank lines or lines with no samples.
+/// blank lines, lines with no samples, unparsable tokens, and labels that
+/// are not a finite integer within int range (UCR's "1.0000000e+00" is
+/// label 1; "1.5", "nan" and "3e9" are malformed).
 std::optional<TimeSeries> ParseUcrLine(const std::string& line);
 
-/// Reads a whole UCR-format stream.
+/// Reads a whole UCR-format stream, skipping every line ParseUcrLine
+/// rejects.
 Dataset ReadUcr(std::istream& in, const std::string& name = "");
 
 /// Reads a UCR-format file; returns std::nullopt when the file cannot be

@@ -22,6 +22,7 @@
 #include "core/fault_injector.h"
 #include "core/status.h"
 #include "data/generators.h"
+#include "dispatcher_hold.h"
 #include "retrieval/batch.h"
 #include "retrieval/service.h"
 
@@ -57,6 +58,37 @@ std::vector<Hit> DirectHits(const KnnEngine& engine, const ts::TimeSeries& q,
   const BatchKnnEngine direct(engine);
   const std::vector<ts::TimeSeries> one{q};
   return direct.QueryBatch(one, k)[0];
+}
+
+/// One request of an expected service order, named for failure messages.
+struct Served {
+  const char* name;
+  std::future<QueryService::Result>* future;
+};
+
+/// Waits until every future of `order` is ready, checking that they
+/// became ready in that order: whenever one is seen ready, every one
+/// before it must be ready already. The dispatcher fulfils a batch before
+/// it cuts the next, and readiness is read from the back, so requests
+/// served in order pass however the test thread is scheduled. (The
+/// opposite check, "a later request is not ready yet", fails whenever the
+/// test thread is descheduled for longer than the scans in between.)
+void ExpectServedInOrder(const std::vector<Served>& order) {
+  for (bool all_ready = false; !all_ready;) {
+    const char* later = nullptr;  // the last-listed request seen ready
+    all_ready = true;
+    for (std::size_t i = order.size(); i-- > 0;) {
+      const bool ready = order[i].future->wait_for(std::chrono::seconds(0)) ==
+                         std::future_status::ready;
+      if (!ready && later != nullptr) {
+        ADD_FAILURE() << later << " was served before " << order[i].name;
+        return;
+      }
+      if (ready && later == nullptr) later = order[i].name;
+      all_ready = all_ready && ready;
+    }
+    if (!all_ready) std::this_thread::sleep_for(microseconds(50));
+  }
 }
 
 /// Pins all four service injection sites to rate 0 for the test's
@@ -318,49 +350,39 @@ TEST_F(QueryServiceDeadlineTest, EdfServesUrgentBeforeEarlier) {
 
   ServiceOptions options;
   options.max_batch = 1;  // one request per batch: queue order observable
-  options.max_delay = microseconds(0);
   options.num_workers = 1;
   options.watchdog_interval = microseconds(0);  // not under test here
-  QueryService service(engine, options);
 
-  // Every worker execution sleeps 25ms (2 executions per batch), so after
-  // the decoy is picked up the queue holds the three probes long enough
-  // for EDF ordering — not submission order — to decide dispatch.
-  core::ScopedFault stall(kFaultSiteWorkerStall, 1.0, 0);
+  bool held = false;
+  for (int attempt = 0; !held && attempt < kHoldAttempts; ++attempt) {
+    QueryService service(engine, options);
+    // The decoy occupies the dispatcher while the three probes queue up,
+    // so EDF ordering, not submission order, decides dispatch.
+    DispatcherHold hold(service, ds[0], 3);
+    const auto base = Clock::now();
+    auto relaxed = service.Submit(ds[1], 3);  // FIFO seq 1, no deadline
+    auto dated = service.Submit(ds[2], 3,
+                                RequestOptions{base + std::chrono::hours(2)});
+    auto urgent = service.Submit(ds[3], 3,
+                                 RequestOptions{base + std::chrono::hours(1)});
+    ASSERT_TRUE(relaxed.has_value());
+    ASSERT_TRUE(dated.has_value());
+    ASSERT_TRUE(urgent.has_value());
+    held = hold.Held();
+    if (!held) continue;  // a probe was cut before the others were queued
 
-  auto decoy = service.Submit(ds[0], 3);  // occupies the dispatcher
-  ASSERT_TRUE(decoy.has_value());
-  const auto base = Clock::now();
-  auto relaxed = service.Submit(ds[1], 3);  // FIFO seq 1, no deadline
-  auto dated = service.Submit(ds[2], 3,
-                              RequestOptions{base + std::chrono::hours(2)});
-  auto urgent = service.Submit(ds[3], 3,
-                               RequestOptions{base + std::chrono::hours(1)});
-  ASSERT_TRUE(relaxed.has_value());
-  ASSERT_TRUE(dated.has_value());
-  ASSERT_TRUE(urgent.has_value());
-
-  // Completion order must be: urgent (nearest deadline), dated, relaxed
-  // (dateless requests sort last). Each batch takes >= 50ms of injected
-  // stall, so "not ready yet" checks have a wide deterministic margin.
-  urgent->wait();
-  EXPECT_NE(dated->wait_for(std::chrono::seconds(0)),
-            std::future_status::ready)
-      << "EDF: the 2h deadline must not be served before the 1h one";
-  EXPECT_NE(relaxed->wait_for(std::chrono::seconds(0)),
-            std::future_status::ready)
-      << "EDF: a dateless request must not be served before dated ones";
-  dated->wait();
-  EXPECT_NE(relaxed->wait_for(std::chrono::seconds(0)),
-            std::future_status::ready);
-  relaxed->wait();
-
-  for (auto* f : {&*decoy, &*urgent, &*dated, &*relaxed}) {
-    QueryService::Result result = f->get();
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    // EDF: the nearest deadline first, dateless requests last.
+    ExpectServedInOrder({{"the 1h deadline", &*urgent},
+                         {"the 2h deadline", &*dated},
+                         {"the dateless request", &*relaxed}});
+    for (auto* f : {&hold.decoy(), &*urgent, &*dated, &*relaxed}) {
+      QueryService::Result result = f->get();
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+    }
+    service.Shutdown();
+    EXPECT_EQ(service.metrics().completed, 4u);
   }
-  service.Shutdown();
-  EXPECT_EQ(service.metrics().completed, 4u);
+  ASSERT_TRUE(held) << kNeverHeld;
 }
 
 TEST_F(QueryServiceDeadlineTest, PriorityBreaksDeadlineTies) {
@@ -370,26 +392,28 @@ TEST_F(QueryServiceDeadlineTest, PriorityBreaksDeadlineTies) {
 
   ServiceOptions options;
   options.max_batch = 1;
-  options.max_delay = microseconds(0);
   options.num_workers = 1;
   options.watchdog_interval = microseconds(0);
-  QueryService service(engine, options);
 
-  core::ScopedFault stall(kFaultSiteWorkerStall, 1.0, 0);
+  bool held = false;
+  for (int attempt = 0; !held && attempt < kHoldAttempts; ++attempt) {
+    QueryService service(engine, options);
+    DispatcherHold hold(service, ds[0], 3);
+    const auto deadline = Clock::now() + std::chrono::hours(1);
+    auto low =
+        service.Submit(ds[1], 3, RequestOptions{deadline, /*priority=*/1});
+    auto high =
+        service.Submit(ds[2], 3, RequestOptions{deadline, /*priority=*/5});
+    ASSERT_TRUE(low.has_value());
+    ASSERT_TRUE(high.has_value());
+    held = hold.Held();
+    if (!held) continue;
 
-  auto decoy = service.Submit(ds[0], 3);
-  ASSERT_TRUE(decoy.has_value());
-  const auto deadline = Clock::now() + std::chrono::hours(1);
-  auto low = service.Submit(ds[1], 3, RequestOptions{deadline, /*priority=*/1});
-  auto high = service.Submit(ds[2], 3, RequestOptions{deadline, /*priority=*/5});
-  ASSERT_TRUE(low.has_value());
-  ASSERT_TRUE(high.has_value());
-
-  high->wait();
-  EXPECT_NE(low->wait_for(std::chrono::seconds(0)), std::future_status::ready)
-      << "equal deadlines: higher priority must be served first";
-  low->wait();
-  service.Shutdown();
+    // Equal deadlines: the higher priority is served first.
+    ExpectServedInOrder({{"priority 5", &*high}, {"priority 1", &*low}});
+    service.Shutdown();
+  }
+  ASSERT_TRUE(held) << kNeverHeld;
 }
 
 // --------------------------------------------------------------------------

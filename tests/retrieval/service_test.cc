@@ -13,6 +13,7 @@
 #include "core/fault_injector.h"
 #include "core/status.h"
 #include "data/generators.h"
+#include "dispatcher_hold.h"
 #include "retrieval/batch.h"
 #include "retrieval/latency.h"
 #include "retrieval/query_cache.h"
@@ -261,16 +262,18 @@ TEST(QueryServiceTest, HitsBitwiseIdenticalToDirectBatch) {
   };
   std::vector<Config> configs;
   {
+    configs.push_back({"default", ServiceOptions{}});  // work-conserving
+
     ServiceOptions size_trigger;  // batch cut by size: 6 queries, batch 2
     size_trigger.max_batch = 2;
     size_trigger.max_delay = std::chrono::duration_cast<microseconds>(
         std::chrono::seconds(10));
     configs.push_back({"size-trigger", size_trigger});
 
-    ServiceOptions deadline_trigger;  // batch cut by deadline only
-    deadline_trigger.max_batch = 64;
-    deadline_trigger.max_delay = microseconds(1000);
-    configs.push_back({"deadline-trigger", deadline_trigger});
+    ServiceOptions age_trigger;  // batch cut by age only
+    age_trigger.max_batch = 64;
+    age_trigger.max_delay = microseconds(1000);
+    configs.push_back({"age-trigger", age_trigger});
 
     ServiceOptions batch_of_one;  // no coalescing at all
     batch_of_one.max_batch = 1;
@@ -428,6 +431,46 @@ TEST(QueryServiceTest, CoalescesDuplicatesWithinBatch) {
   EXPECT_EQ(m.batches, 1u);
   EXPECT_EQ(m.completed, 16u);
   EXPECT_EQ(m.coalesced, 15u);  // one scan answered all 16
+}
+
+TEST(QueryServiceTest, DefaultDispatchIsWorkConserving) {
+  // The default cuts a batch the moment the dispatcher is free; requests
+  // that queue up during a scan still leave together as the next batch.
+  EXPECT_EQ(ServiceOptions{}.max_delay, microseconds(0));
+
+  const ts::Dataset ds = SmallGun(12);
+  KnnEngine engine;
+  engine.Index(ds);
+  const std::vector<ts::TimeSeries> distinct{ds[1], ds[2]};
+  const auto expected = DirectHits(engine, distinct, 3);
+  constexpr std::size_t kHeldRequests = 8;
+
+  bool held = false;
+  for (int attempt = 0; !held && attempt < kHoldAttempts; ++attempt) {
+    QueryService service(engine);
+    DispatcherHold hold(service, ds[0], 3);
+    std::vector<std::future<QueryService::Result>> futures;
+    for (std::size_t i = 0; i < kHeldRequests; ++i) {
+      auto f = service.Submit(distinct[i % 2], 3);
+      ASSERT_TRUE(f.has_value()) << i;
+      futures.push_back(std::move(*f));
+    }
+    held = hold.Held();
+    if (!held) continue;  // a request was cut before the others were queued
+
+    for (std::size_t i = 0; i < kHeldRequests; ++i) {
+      if (const auto hits = GetHits(futures[i], "held")) {
+        ExpectSameHits(*hits, expected[i % 2], "held");
+      }
+    }
+    GetHits(hold.decoy(), "decoy");
+    service.Shutdown();
+    const ServiceMetrics m = service.metrics();
+    EXPECT_EQ(m.batches, 2u) << "the decoy, then every held request at once";
+    EXPECT_EQ(m.coalesced, kHeldRequests - distinct.size());
+    EXPECT_EQ(m.completed, kHeldRequests + 1);
+  }
+  ASSERT_TRUE(held) << kNeverHeld;
 }
 
 TEST(QueryServiceTest, MixedKRequestsEachGetTheirOwnK) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 namespace sdtw {
@@ -43,6 +44,44 @@ TEST(IoTest, ParseUcrLineScientificNotation) {
   ASSERT_TRUE(s.has_value());
   EXPECT_DOUBLE_EQ((*s)[0], 0.001);
   EXPECT_DOUBLE_EQ((*s)[1], 200.0);
+}
+
+TEST(IoTest, ParseUcrLineRejectsLabelsThatAreNotIntClasses) {
+  // A label names a class. Rounding nan, inf or 1.5, or wrapping 3e9,
+  // would file the line under a real class or under -1 (unlabelled), so
+  // each of these lines is malformed.
+  for (const char* line :
+       {"nan,1,2,3", "inf,1,2,3", "-inf,1,2", "-1e300,1,2", "3e9,1,2,3",
+        "-3e9,1,2", "1.5,1,2,3", "-0.5,1,2", "2147483648,1,2",
+        "-2147483649,1,2"}) {
+    EXPECT_FALSE(ParseUcrLine(line).has_value()) << line;
+  }
+}
+
+TEST(IoTest, ParseUcrLineKeepsIntegralLabels) {
+  struct Case {
+    const char* line;
+    int label;
+  };
+  for (const Case& c : {Case{"1.0000000e+00,0.5,0.25", 1},
+                        Case{"-1,0.5", -1},
+                        Case{"-0,0.5", 0},
+                        Case{"2147483647,0.5", std::numeric_limits<int>::max()},
+                        Case{"-2147483648,0.5",
+                             std::numeric_limits<int>::min()}}) {
+    const auto s = ParseUcrLine(c.line);
+    ASSERT_TRUE(s.has_value()) << c.line;
+    EXPECT_EQ(s->label(), c.label) << c.line;
+  }
+}
+
+TEST(IoTest, ReadUcrSkipsLinesWithInvalidLabels) {
+  std::istringstream in("1,1,2\nnan,3,4\n1.5,5,6\n2,7,8\n");
+  const Dataset ds = ReadUcr(in, "labels");
+  ASSERT_EQ(ds.size(), 2u);
+  EXPECT_EQ(ds[0].label(), 1);
+  EXPECT_EQ(ds[1].label(), 2);
+  EXPECT_DOUBLE_EQ(ds[1][0], 7.0);
 }
 
 TEST(IoTest, ReadUcrMultipleLines) {
