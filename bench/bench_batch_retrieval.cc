@@ -192,7 +192,7 @@ bool RunMode(const char* label, const sdtw::retrieval::KnnOptions& options,
 
 // Throughput of the banded rolling DP kernel itself (the cascade's miss
 // path) on the BM_DtwBandedNarrowDistance band shape, in cells/s — the
-// number the two-pass kernel work moves and the JSON baseline tracks.
+// number the DP kernel work moves and the JSON baseline tracks.
 double KernelCellsPerSecond(std::size_t n, sdtw::dtw::CostKind cost) {
   using namespace sdtw;
   ts::Rng rng1(1), rng2(2);

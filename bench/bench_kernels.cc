@@ -129,10 +129,10 @@ const bool kVariantRowsRegistered = [] {
 }();
 
 // The retained scalar row kernel driven over the same narrow bands — the
-// pre-vectorisation baseline, kept measurable so the two-pass speedup
-// (README "two-pass DP row kernel" table) can be re-derived on any
-// machine. Distances are bitwise identical to BM_DtwBandedNarrowDistance
-// by the row_kernel property suite.
+// pre-vectorisation baseline, kept measurable so the strip kernel's
+// speedup (README "Runtime kernel dispatch" table) can be re-derived on
+// any machine. Distances are bitwise identical to
+// BM_DtwBandedNarrowDistance by the row_kernel property suite.
 void BM_DtwBandedNarrowDistanceScalarRef(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const ts::TimeSeries x = MakeSeries(n, 1);
@@ -150,7 +150,7 @@ void BM_DtwBandedNarrowDistanceScalarRef(benchmark::State& state) {
     for (std::size_t i = 1; i <= n; ++i) {
       const auto [clo, chi] = dtw::DpWindow(band.row(i - 1), m);
       if (clo <= chi) {
-        // cells = nullptr exactly like the two-pass comparison target
+        // cells = nullptr exactly like the strip comparison target
         // (DtwBandedDistance skips counting), so neither side pays
         // per-cell counting the other does not.
         dtw::internal::FillBandRowScalar(prev, plo, phi, cur, clo, chi,

@@ -291,11 +291,6 @@ using sdtw::dtw::SquaredCost;
 namespace rk = sdtw::dtw::internal;
 [[maybe_unused]] auto* kAnchor0 = &rk::FillBandRowScalar<AbsCost>;
 [[maybe_unused]] auto* kAnchor1 = &rk::FillBandRowScalar<SquaredCost>;
-[[maybe_unused]] auto* kAnchor2 = &rk::FillBandRowTwoPass<AbsCost>;
-[[maybe_unused]] auto* kAnchor3 = &rk::FillBandRowTwoPass<SquaredCost>;
-[[maybe_unused]] auto* kAnchor4 = &rk::WriteRowPads;
-[[maybe_unused]] auto* kAnchor5 = &rk::ArmOriginRow;
-[[maybe_unused]] auto* kAnchor6 = &rk::ResolveLeftDependency;
 }  // namespace
 """
 

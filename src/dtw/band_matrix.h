@@ -40,10 +40,8 @@ inline std::pair<std::size_t, std::size_t> DpWindow(const BandRow& r,
 }
 
 /// The widest DP row window of `band` (in doubles), including the origin
-/// row 0 (width 1). This is the buffer extent a rolling two-row kernel
-/// needs for the band — callers that reuse one scratch buffer across many
-/// bands (batched retrieval) size it once to the maximum of this value
-/// over their candidate set.
+/// row 0 (width 1): the row width of the distance-only kernels' logical
+/// two-row footprint (DtwResult::cells_allocated).
 inline std::size_t MaxDpRowWidth(const Band& band) {
   std::size_t max_width = 1;  // DP row 0 holds the origin cell
   for (std::size_t i = 0; i < band.n(); ++i) {

@@ -2,24 +2,19 @@
 #define SDTW_DTW_COST_H_
 
 /// \file cost.h
-/// \brief Pointwise cost functions Δ(x, y) for DTW, as scalars and rows.
+/// \brief Pointwise cost functions Δ(x, y) for DTW.
 ///
 /// The paper leaves Δ() generic ("a distance function for comparing elements
 /// in D", §2.1.1); absolute and squared differences are the two standard
 /// choices on scalar series and both are provided. Kernels are templated on
 /// the cost functor so the inner DP loop inlines the cost.
 ///
-/// Each functor also provides a *row* kernel Row(xi, y, out, n) computing
-/// Δ(xi, y[k]) for a whole row at once: the two-pass banded DP stages the
-/// cost row through it instead of evaluating a per-cell callable, which
-/// gives the compiler a dependency-free loop it can vectorise. The staged
-/// row is rounded once (cost) and added once (accumulate) — the same two
-/// roundings as the historical `best + cost(xi, y[j-1])` per-cell form, so
-/// staging changes no bits (this also means kernels must not be compiled
-/// with FMA contraction; the build sets -ffp-contract=off).
+/// Every DP kernel adds the separately rounded cost to the minimum of the
+/// three predecessors, so kernels must not be compiled with FMA
+/// contraction (the build sets -ffp-contract=off): a fused squared cost
+/// would round differently in different kernels.
 
 #include <cmath>
-#include <cstddef>
 
 namespace sdtw {
 namespace dtw {
@@ -27,11 +22,6 @@ namespace dtw {
 /// Δ(x, y) = |x - y| (Manhattan / L1 pointwise cost).
 struct AbsCost {
   double operator()(double x, double y) const { return std::abs(x - y); }
-
-  /// out[k] = |xi - y[k]| for k in [0, n).
-  static void Row(double xi, const double* y, double* out, std::size_t n) {
-    for (std::size_t k = 0; k < n; ++k) out[k] = std::abs(xi - y[k]);
-  }
 };
 
 /// Δ(x, y) = (x - y)^2 (squared Euclidean pointwise cost).
@@ -39,14 +29,6 @@ struct SquaredCost {
   double operator()(double x, double y) const {
     const double d = x - y;
     return d * d;
-  }
-
-  /// out[k] = (xi - y[k])^2 for k in [0, n).
-  static void Row(double xi, const double* y, double* out, std::size_t n) {
-    for (std::size_t k = 0; k < n; ++k) {
-      const double d = xi - y[k];
-      out[k] = d * d;
-    }
   }
 };
 

@@ -4,10 +4,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
+#include <limits>
+#include <tuple>
 
 #include "dtw/band_matrix.h"
-#include "dtw/row_kernel.h"
 
 namespace sdtw {
 namespace dtw {
@@ -61,72 +61,170 @@ std::vector<PathPoint> BacktrackImpl(const MatrixAt& at, std::size_t n,
   return path;
 }
 
-// Shared rolling two-row DP driver over per-row DP windows, using the
-// caller's scratch buffers (grown beforehand to the widest window). The
-// window callable maps series row r (0-based) to the inclusive DP column
-// window of DP row r + 1. Every row fill runs through `fill`, a row-fill
-// entry point of a dispatched kernel variant (dtw/kernel_dispatch.h) with
-// the cost baked in — resolved once per call by the kernels below, so the
-// per-row cost is one predictable indirect call. The kernel re-initialises
-// every cell and pad it reads, so a reused scratch needs no clearing.
-// A finite `abandon_above` returns +inf as soon as every filled cell of a
-// row (or the final distance) exceeds it; a non-finite one never abandons.
-// This is the one abandon path of every kernel. Reports the number of
-// cells filled (finite predecessors only, the paper's work measure) when
-// `cells_filled` is non-null; counting is skipped entirely otherwise. When `sink` is
-// non-null it is called as sink(i, row, w) after each non-empty DP row i
-// is filled (the path-preserving kernels copy rows into their band
-// matrices through it).
-template <typename WindowFn, typename RowSink>
-double RollingWindowKernel(const ts::TimeSeries& x, const ts::TimeSeries& y,
-                           WindowFn window, double abandon_above,
-                           RowFillFn fill, DtwScratch& scratch,
-                           std::size_t* cells_filled, RowSink sink) {
+// A DP row as the next strip's predecessor: window [lo, hi] (empty when
+// lo > hi), column j at cells[j - lo].
+struct DpRowView {
+  const double* cells;
+  std::size_t lo;
+  std::size_t hi;
+};
+
+// Stages strip.pred: the predecessor row at columns t0 - 1 .. t0 - 1 +
+// steps, +infinity outside its window.
+void StagePredecessor(const DpRowView& prev, std::size_t t0,
+                      std::size_t steps, double* pred) {
+  const std::size_t first = t0 - 1;
+  const std::size_t last = first + steps;
+  double* out = pred;
+  if (prev.lo <= prev.hi && prev.lo <= last && prev.hi >= first) {
+    const std::size_t lo = std::max(prev.lo, first);
+    const std::size_t hi = std::min(prev.hi, last);
+    out = std::fill_n(out, lo - first, kInf);
+    out = std::copy_n(prev.cells + (lo - prev.lo), hi - lo + 1, out);
+  }
+  std::fill(out, pred + steps + 1, kInf);
+}
+
+// Stages strip.y: the steps + kStripRows - 1 values of y from index
+// t0 - kStripRows on, 0 outside y.
+void StageY(const double* y, std::size_t m, std::size_t t0,
+            std::size_t steps, double* out) {
+  const std::size_t count = steps + kStripRows - 1;
+  // Index q holds y[t0 - kStripRows + q]: in range for q in [head, end).
+  const std::size_t head = t0 < kStripRows ? kStripRows - t0 : 0;
+  const std::size_t end = std::min(count, m + kStripRows - t0);
+  std::fill_n(out, std::min(head, count), 0.0);
+  if (head < end) {
+    std::copy(y + (t0 + head - kStripRows), y + (t0 + end - kStripRows),
+              out + head);
+  }
+  std::fill(out + std::max(head, end), out + count, 0.0);
+}
+
+// The lane of strip row r (DpStrip: lane 0 holds the strip's last row).
+constexpr std::size_t LaneOf(std::size_t r) { return kStripRows - 1 - r; }
+
+// Row destination of the distance-only kernels: rows do not outlive their
+// strip.
+struct NoRows {
+  double* operator()(std::size_t) const { return nullptr; }
+};
+
+// The one DP driver: runs x against y as strips of kStripRows rows, each
+// filled by one call of `fill`, a strip fill of a dispatched kernel variant
+// (dtw/kernel_dispatch.h) with the cost baked in. `window(r)` is the
+// inclusive DP column window of DP row r + 1 (empty when lo > hi); `prev`
+// is DP row 0. When `dest(i)` returns non-null, DP row i's window is copied
+// there (the path-preserving kernels keep every row this way).
+//
+// After each strip the driver visits its rows in order, exactly like the
+// row-at-a-time loop: it adds each row's cells (finite predecessors only,
+// the paper's work measure; counting is skipped entirely when
+// `cells_filled` is null), and a finite `abandon_above` returns +inf at the
+// first row whose minimum exceeds it — or when the final distance does. A
+// non-finite one never abandons. This is the one abandon path of every
+// kernel.
+template <typename WindowFn, typename RowDest>
+double StripWavefront(const ts::TimeSeries& x, const ts::TimeSeries& y,
+                      WindowFn window, DpRowView prev, double abandon_above,
+                      StripFillFn fill, DtwScratch& scratch,
+                      std::size_t* cells_filled, RowDest dest) {
   const bool abandon = std::isfinite(abandon_above);
   const std::size_t n = x.size();
   const std::size_t m = y.size();
-  double* prev = scratch.prev_row();
-  double* cur = scratch.cur_row();
-  double* cost_row = scratch.cost_row();
-  unsigned char* flag_row = scratch.flag_row();
-  // DP window held by prev; starts as the origin row {0}.
-  internal::ArmOriginRow(prev);
-  std::size_t plo = 0;
-  std::size_t phi = 0;
   std::size_t cells = 0;
-  std::size_t* cells_ptr = cells_filled != nullptr ? &cells : nullptr;
-  for (std::size_t i = 1; i <= n; ++i) {
-    const auto [clo, chi] = window(i - 1);
-    double row_min = kInf;
-    if (clo <= chi) {
-      row_min = fill(prev, plo, phi, cur, clo, chi, x[i - 1],
-                     y.values().data(), cost_row, flag_row, cells_ptr);
-      sink(i, cur, chi - clo + 1);
+  const auto finish = [&cells, cells_filled](double d) {
+    if (cells_filled != nullptr) *cells_filled = cells;
+    return d;
+  };
+  DpStrip strip;
+  strip.count = cells_filled != nullptr;
+  // After the first strip, prev is a window of the scratch's last row.
+  bool prev_in_last = false;
+  std::size_t prev_offset = 0;
+  for (std::size_t i0 = 0; i0 < n; i0 += kStripRows) {
+    const std::size_t rows = std::min(kStripRows, n - i0);
+    std::size_t lo[kStripRows];
+    std::size_t hi[kStripRows];
+    std::size_t t0 = std::numeric_limits<std::size_t>::max();
+    std::size_t t1 = 0;
+    for (std::size_t r = 0; r < kStripRows; ++r) {
+      lo[r] = 1;
+      hi[r] = 0;
+      if (r < rows) std::tie(lo[r], hi[r]) = window(i0 + r);
+      if (lo[r] <= hi[r]) {
+        t0 = std::min(t0, lo[r] + r);
+        t1 = std::max(t1, hi[r] + r);
+      }
     }
-    if (abandon && row_min > abandon_above) {
-      if (cells_filled != nullptr) *cells_filled = cells;
-      return kInf;
+    // Every row of the strip is empty, so no later cell is finite; the
+    // first of them (row minimum +inf) abandons any finite threshold.
+    if (t0 > t1) return finish(kInf);
+
+    const std::size_t steps = t1 - t0 + 1;
+    // Growth moves the buffers; it keeps the last row, so rebind prev.
+    scratch.EnsureSteps(steps);
+    if (prev_in_last) prev.cells = scratch.strip_last() + prev_offset;
+    StagePredecessor(prev, t0, steps, scratch.strip_pred());
+    StageY(y.values().data(), m, t0, steps, scratch.strip_y());
+    for (std::size_t r = 0; r < kStripRows; ++r) {
+      const std::size_t l = LaneOf(r);
+      const bool live = lo[r] <= hi[r];
+      strip.x[l] = r < rows ? x[i0 + r] : 0.0;
+      strip.begin[l] = live ? lo[r] + r - t0 : 0;
+      strip.width[l] = live ? hi[r] - lo[r] + 1 : 0;
     }
-    std::swap(prev, cur);
-    plo = clo;
-    phi = chi;
+    strip.steps = steps;
+    strip.pred = scratch.strip_pred();
+    strip.y = scratch.strip_y();
+    strip.wave = scratch.strip_wave();
+    strip.last = scratch.strip_last();
+    fill(strip);
+
+    for (std::size_t r = 0; r < rows; ++r) {
+      const std::size_t l = LaneOf(r);
+      cells += strip.cells[l];
+      double* out = dest(i0 + r + 1);
+      if (out != nullptr && lo[r] <= hi[r]) {
+        const double* src = strip.wave + strip.begin[l] * kStripRows + l;
+        for (std::size_t j = 0; j < strip.width[l]; ++j) {
+          out[j] = src[j * kStripRows];
+        }
+      }
+      if (abandon && strip.row_min[l] > abandon_above) return finish(kInf);
+    }
+    if (i0 + rows == n) {
+      // The final strip: DP row n is row rows - 1.
+      const std::size_t r = rows - 1;
+      const double d =
+          lo[r] <= m && m <= hi[r]
+              ? strip.wave[(m + r - t0) * kStripRows + LaneOf(r)]
+              : kInf;
+      if (abandon) return finish(d <= abandon_above ? d : kInf);
+      return finish(d);
+    }
+    // The next strip's predecessor is this strip's last row, lane 0.
+    constexpr std::size_t kLast = kStripRows - 1;
+    prev_in_last = lo[kLast] <= hi[kLast];
+    prev_offset = strip.begin[0];
+    prev = prev_in_last
+               ? DpRowView{strip.last + prev_offset, lo[kLast], hi[kLast]}
+               : DpRowView{nullptr, 1, 0};
   }
-  if (cells_filled != nullptr) *cells_filled = cells;
-  const double d = m >= plo && m <= phi ? prev[m - plo] : kInf;
-  if (abandon) return d <= abandon_above ? d : kInf;
-  return d;
+  return finish(kInf);  // n == 0
 }
 
-// Row sink for distance-only kernels: rows do not outlive the rolling
-// buffers.
-struct DiscardRows {
-  void operator()(std::size_t, const double*, std::size_t) const {}
+// The full-grid window [1, m] of every DP row.
+struct FullWindow {
+  std::size_t m;
+  std::pair<std::size_t, std::size_t> operator()(std::size_t) const {
+    return {1, m};
+  }
 };
 
-// Band-compressed distance-only kernel: two rolling buffers sized to the
-// widest band row. Memory is O(max band-row width) regardless of n and m,
-// and per-row work is O(row width) — no full-row infinity re-fill. The
-// row-fill variant comes from the scratch (pinned by retrieval workers,
+// Band-compressed distance-only kernel: the strip buffers follow the
+// band's column span, never the grid, and per-row work is O(row width).
+// The fill variant comes from the scratch (pinned by retrieval workers,
 // process-wide active otherwise).
 double BandedRollingKernel(const ts::TimeSeries& x, const ts::TimeSeries& y,
                            const Band& band, double abandon_above,
@@ -134,29 +232,27 @@ double BandedRollingKernel(const ts::TimeSeries& x, const ts::TimeSeries& y,
                            std::size_t* cells_filled,
                            std::size_t* cells_allocated) {
   const std::size_t m = y.size();
-  const std::size_t max_width = MaxDpRowWidth(band);
-  scratch.EnsureWidth(max_width);
-  if (cells_allocated != nullptr) *cells_allocated = 2 * max_width;
-  return RollingWindowKernel(
+  if (cells_allocated != nullptr) {
+    *cells_allocated = 2 * MaxDpRowWidth(band);
+  }
+  const double origin = 0.0;
+  return StripWavefront(
       x, y,
       [&band, m](std::size_t r) { return DpWindow(band.row(r), m); },
-      abandon_above, scratch.kernel().fill(cost), scratch, cells_filled,
-      DiscardRows{});
+      DpRowView{&origin, 0, 0}, abandon_above, scratch.kernel().fill(cost),
+      scratch, cells_filled, NoRows{});
 }
 
 // Full-grid distance-only kernel as the degenerate window [1, m] — the
-// same code path (and bit-identical results) as the historical dedicated
-// two-row implementation.
+// same code path (and bit-identical results) as the banded kernel.
 double FullRollingKernel(const ts::TimeSeries& x, const ts::TimeSeries& y,
                          double abandon_above, CostKind cost,
                          DtwScratch& scratch) {
-  const std::size_t m = y.size();
-  scratch.EnsureWidth(m + 1);
-  return RollingWindowKernel(
-      x, y,
-      [m](std::size_t) { return std::pair<std::size_t, std::size_t>{1, m}; },
-      abandon_above, scratch.kernel().fill(cost), scratch, nullptr,
-      DiscardRows{});
+  const double origin = 0.0;
+  return StripWavefront(x, y, FullWindow{y.size()},
+                        DpRowView{&origin, 0, 0}, abandon_above,
+                        scratch.kernel().fill(cost), scratch, nullptr,
+                        NoRows{});
 }
 
 }  // namespace
@@ -171,7 +267,7 @@ DtwResult Dtw(const ts::TimeSeries& x, const ts::TimeSeries& y,
   DtwScratch scratch;
   scratch.set_kernel(options.kernel);
   if (!options.want_path) {
-    // Distance-only: the rolling kernel needs no (n+1)x(m+1) matrix.
+    // Distance-only: the strip kernel needs no (n+1)x(m+1) matrix.
     result.distance =
         FullRollingKernel(x, y, kNoAbandon, options.cost, scratch);
     result.cells_filled = n * m;
@@ -179,19 +275,14 @@ DtwResult Dtw(const ts::TimeSeries& x, const ts::TimeSeries& y,
     return result;
   }
   // Path-preserving: materialise the full matrix for the backtrack. The
-  // rows themselves are computed by the shared two-pass kernel in rolling
-  // scratch buffers and copied out, so the fill is as fast as the
-  // distance-only path.
+  // strip kernel fills it row by row, as fast as the distance-only path.
   std::vector<double> d((n + 1) * stride, kInf);
   d[0] = 0.0;
-  scratch.EnsureWidth(m + 1);
-  RollingWindowKernel(
-      x, y,
-      [m](std::size_t) { return std::pair<std::size_t, std::size_t>{1, m}; },
-      kNoAbandon, scratch.kernel().fill(options.cost), scratch, nullptr,
-      [&d, stride](std::size_t i, const double* row, std::size_t w) {
-        std::memcpy(d.data() + i * stride + 1, row, w * sizeof(double));
-      });
+  StripWavefront(x, y, FullWindow{m}, DpRowView{d.data(), 0, 0},
+                 kNoAbandon, scratch.kernel().fill(options.cost), scratch,
+                 nullptr, [&d, stride](std::size_t i) {
+                   return d.data() + i * stride + 1;
+                 });
   result.cells_filled = n * m;
   result.cells_allocated = (n + 1) * stride;
   result.distance = d[n * stride + m];
@@ -213,27 +304,19 @@ DtwResult DtwBanded(const ts::TimeSeries& x, const ts::TimeSeries& y,
   DtwScratch scratch;
   scratch.set_kernel(options.kernel);
   if (!options.want_path) {
-    // Distance-only: no cell needs to outlive its row, so the rolling
-    // kernel's two band-width buffers suffice.
+    // Distance-only: no cell needs to outlive its strip, so the strip
+    // buffers suffice.
     result.distance =
         BandedRollingKernel(x, y, band, abandon_above, options.cost, scratch,
                             &result.cells_filled, &result.cells_allocated);
     return result;
   }
   // Path-preserving: keep every in-band cell (and nothing else) so the
-  // backtrack can walk the matrix. Rows are computed in the rolling
-  // scratch (the two-pass kernel needs its padded rows) and copied into
-  // the band-compressed matrix as they complete.
+  // backtrack can walk the matrix.
   BandMatrix d(band);
-  scratch.EnsureWidth(MaxDpRowWidth(band));
   std::size_t cells = 0;
-  const double distance = RollingWindowKernel(
-      x, y,
-      [&band, m](std::size_t r) { return DpWindow(band.row(r), m); },
-      abandon_above, scratch.kernel().fill(options.cost), scratch, &cells,
-      [&d](std::size_t i, const double* row, std::size_t w) {
-        std::memcpy(d.row_data(i), row, w * sizeof(double));
-      });
+  const double distance = internal::FillBandMatrix(
+      x, y, options.cost, abandon_above, scratch, d, &cells);
   result.cells_filled = cells;
   result.cells_allocated = d.cells_allocated();
   if (!std::isfinite(distance)) {
@@ -248,26 +331,62 @@ DtwResult DtwBanded(const ts::TimeSeries& x, const ts::TimeSeries& y,
 }
 
 void DtwScratch::EnsureWidth(std::size_t width) {
-  if (width <= width_ && !cells_.empty()) return;
   width_ = std::max(width_, width);
-  // Three double rows (prev, cur, cost), each with kRowPad guard cells on
-  // both sides, strides rounded to 64 bytes, base 64-byte aligned.
-  const std::size_t stride =
-      (2 * internal::kRowPad + width_ + 7) & ~std::size_t{7};
-  cells_.assign(3 * stride + 8, internal::kRowInf);
-  flag_store_.assign(stride, 0);
+  // A strip over an m-column grid spans at most m + kStripRows - 1 steps.
+  EnsureSteps(width + kStripRows - 1);
+}
+
+void DtwScratch::GrowSteps(std::size_t steps) {
+  const std::vector<double> old = std::move(cells_);
+  const std::size_t old_last = last_off_;
+  const std::size_t old_steps = steps_;
+  // Geometric growth: a DP whose strips widen one by one reallocates
+  // O(log) times, and a warm scratch never again.
+  steps_ = std::max(steps, 2 * steps_);
+  // Each buffer starts on a 64-byte boundary (8 doubles).
+  const auto round8 = [](std::size_t cells) {
+    return (cells + 7) & ~std::size_t{7};
+  };
+  const std::size_t pred_cells = round8(steps_ + 1);
+  const std::size_t y_cells = round8(steps_ + kStripRows - 1);
+  const std::size_t last_cells = round8(steps_);
+  cells_.assign(pred_cells + y_cells + last_cells + kStripRows * steps_ + 8,
+                kInf);
   // Alignment probe: std::bit_cast is the defined-behaviour C++20 way to
-  // read a pointer's address representation (what the old
-  // reinterpret_cast<uintptr_t> spelling did via implementation-defined
-  // conversion); uintptr_t is pointer-sized on every supported target.
+  // read a pointer's address representation; uintptr_t is pointer-sized
+  // on every supported target.
   const std::size_t misalign =
       std::bit_cast<std::uintptr_t>(cells_.data()) % 64;
-  const std::size_t align_off =
-      misalign != 0 ? (64 - misalign) / sizeof(double) : 0;
-  prev_off_ = align_off + internal::kRowPad;
-  cur_off_ = prev_off_ + stride;
-  cost_off_ = cur_off_ + stride;
+  pred_off_ = misalign != 0 ? (64 - misalign) / sizeof(double) : 0;
+  y_off_ = pred_off_ + pred_cells;
+  last_off_ = y_off_ + y_cells;
+  wave_off_ = last_off_ + last_cells;
+  // The last row is the next strip's predecessor: keep it.
+  if (!old.empty()) {
+    std::copy_n(old.begin() + static_cast<std::ptrdiff_t>(old_last),
+                old_steps, cells_.begin() + static_cast<std::ptrdiff_t>(
+                                                last_off_));
+  }
 }
+
+namespace internal {
+
+double FillBandMatrix(const ts::TimeSeries& x, const ts::TimeSeries& y,
+                      CostKind cost, double abandon_above,
+                      DtwScratch& scratch, BandMatrix& d,
+                      std::size_t* cells_filled) {
+  return StripWavefront(
+      x, y,
+      [&d](std::size_t r) {
+        return std::pair<std::size_t, std::size_t>{d.row_lo(r + 1),
+                                                    d.row_hi(r + 1)};
+      },
+      DpRowView{d.row_data(0), d.row_lo(0), d.row_hi(0)}, abandon_above,
+      scratch.kernel().fill(cost), scratch, cells_filled,
+      [&d](std::size_t i) { return d.row_data(i); });
+}
+
+}  // namespace internal
 
 double DtwDistance(const ts::TimeSeries& x, const ts::TimeSeries& y,
                    CostKind cost) {

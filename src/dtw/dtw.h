@@ -10,16 +10,16 @@
 /// Band.
 ///
 /// Every row of every kernel — full grid, banded, early-abandon, and the
-/// path-preserving fills — runs through the two-pass row kernel of
-/// dtw/row_kernel.h: a vectorisable pass over staged cost rows plus a
-/// carry-resolving serial scan, bit-identical to the historical scalar
-/// loop (see that header for the contract and the property suite that
-/// pins it).
+/// path-preserving fills — runs through the strip-wavefront kernel of
+/// dtw/row_kernel.h: one dispatched call fills 8 rows, bit-identical to
+/// the historical scalar loop (see that header for the contract and the
+/// property suite that pins it).
 ///
 /// The banded kernels use band-compressed storage in two modes so that
 /// memory follows the band, not the grid:
-///  * distance-only: two rolling buffers sized to the widest band row
-///    (O(max band-row width) doubles), used by DtwBandedDistance and by
+///  * distance-only: the strip buffers of DtwScratch, sized to a strip's
+///    column span (O(max band-row width) doubles for bands that move a
+///    bounded number of columns per row), used by DtwBandedDistance and by
 ///    DtwBanded when want_path is off;
 ///  * path-preserving: a BandMatrix holding only the Σ(hi−lo+1) in-band
 ///    cells with per-row offsets, walked by a band-aware backtrack.
@@ -64,8 +64,7 @@ struct DtwResult {
   /// path-preserving banded kernel, 2 * max band-row width (two rolling
   /// rows) for the distance-only kernels. This is the storage footprint
   /// band compression shrinks, and the measure that scales with the
-  /// input; the constant-factor scratch overhead of the two-pass kernel
-  /// (guard pads, staged cost row, flag bytes — see DtwScratch) is not
+  /// input; the strip kernel's staging buffers (see DtwScratch) are not
   /// included.
   std::size_t cells_allocated = 0;
 };
@@ -81,27 +80,25 @@ struct DtwOptions {
   const RowKernelOps* kernel = nullptr;
 };
 
-/// \brief Reusable row storage for the rolling DP kernels.
+/// \brief Reusable storage for the strip DP kernels.
 ///
-/// The two-pass banded kernel (see dtw/row_kernel.h) works on four
-/// same-stride rows: the two rolling DP rows (`prev`/`cur`), a staged cost
-/// row, and a row of carry-entry flag bytes. Each DP row carries
-/// `internal::kRowPad` guard cells of +infinity on both sides, maintained
-/// by the kernels, so the vectorised pass 1 can read the up/diagonal
-/// predecessors of any in-band cell as plain shifted loads — the band
-/// window guards become reads of the +inf pads instead of per-cell
-/// branches. Rows are 64-byte aligned.
+/// Every DP runs as strips of kStripRows rows (see dtw/row_kernel.h). Each
+/// strip stages the predecessor row and the y segment over the strip's
+/// column span, and the dispatched fill writes the step-major wave
+/// (kStripRows cells per wavefront step) plus the strip's last row, which
+/// the next strip stages as its predecessor. The storage is O(strip
+/// span), never O(n·m). Reused scratches need no clearing: every strip
+/// re-stages every cell it reads.
 ///
 /// Retrieval loops that compare one query against thousands of candidates
 /// keep one DtwScratch per worker, sized once to the widest requirement
-/// across the whole candidate set (dtw::MaxDpRowWidth for a band, m + 1
-/// for a full grid), instead of allocating per call. The kernels
-/// re-initialise every cell and pad they read, so a scratch can be reused
-/// across calls without clearing.
+/// across the whole candidate set (m + 1 for a full grid of m columns),
+/// instead of allocating per call. Once warm, the kernels make no heap
+/// allocation.
 class DtwScratch {
  public:
-  /// Grows all rows to hold at least `width` usable doubles each (never
-  /// shrinks).
+  /// Grows the buffers to serve DP rows of up to `width` cells — any strip
+  /// over an m-column grid, given width m + 1 — and never shrinks.
   void EnsureWidth(std::size_t width);
 
   /// The usable row width (max `width` passed to EnsureWidth so far).
@@ -118,24 +115,35 @@ class DtwScratch {
     return kernel_ != nullptr ? *kernel_ : ActiveRowKernelOps();
   }
 
-  /// \name Kernel row accessors
-  /// Pointers to cell 0 of each row; cells [-kRowPad, width + kRowPad)
-  /// are addressable. Valid until the next EnsureWidth growth. Rows are
-  /// addressed as offsets into the owned buffers, so copied or moved
-  /// scratches stay self-contained (each alias its own storage).
+  /// Grows the strip buffers to hold a strip of `steps` wavefront steps
+  /// (never shrinks). Growth keeps the last row's contents, which the next
+  /// strip reads as its predecessor.
+  void EnsureSteps(std::size_t steps) {
+    if (steps > steps_) GrowSteps(steps);
+  }
+
+  /// \name Strip buffers
+  /// Sized by EnsureSteps(steps): the predecessor row (steps + 1 cells),
+  /// the y segment (steps + kStripRows - 1), the last row (steps) and the
+  /// wave (kStripRows * steps), each 64-byte aligned. Valid until the next
+  /// growth. Addressed as offsets into the owned buffer, so copied or
+  /// moved scratches stay self-contained.
   /// @{
-  double* prev_row() { return cells_.data() + prev_off_; }
-  double* cur_row() { return cells_.data() + cur_off_; }
-  double* cost_row() { return cells_.data() + cost_off_; }
-  unsigned char* flag_row() { return flag_store_.data(); }
+  double* strip_pred() { return cells_.data() + pred_off_; }
+  double* strip_y() { return cells_.data() + y_off_; }
+  double* strip_last() { return cells_.data() + last_off_; }
+  double* strip_wave() { return cells_.data() + wave_off_; }
   /// @}
 
  private:
-  std::vector<double> cells_;        ///< Backing store of the three rows.
-  std::vector<unsigned char> flag_store_;
-  std::size_t prev_off_ = 0;
-  std::size_t cur_off_ = 0;
-  std::size_t cost_off_ = 0;
+  void GrowSteps(std::size_t steps);
+
+  std::vector<double> cells_;  ///< Backing store of the strip buffers.
+  std::size_t pred_off_ = 0;
+  std::size_t y_off_ = 0;
+  std::size_t last_off_ = 0;
+  std::size_t wave_off_ = 0;
+  std::size_t steps_ = 0;  ///< Strip steps the buffers hold.
   std::size_t width_ = 0;
   const RowKernelOps* kernel_ = nullptr;  ///< Pinned variant; never owned.
 };
@@ -153,7 +161,7 @@ DtwResult Dtw(const ts::TimeSeries& x, const ts::TimeSeries& y,
 /// in this library already do). Cells outside the band are treated as
 /// +infinity. If the band is infeasible the result distance is +infinity.
 /// Storage is band-compressed: Σ band-row widths cells when a path is
-/// requested, two rolling band-width rows otherwise.
+/// requested, the strip buffers otherwise.
 ///
 /// With a finite `abandon_above` (a retrieval loop's best-so-far), the DP
 /// stops as soon as every filled cell of a band row — or the final
@@ -165,20 +173,20 @@ DtwResult DtwBanded(const ts::TimeSeries& x, const ts::TimeSeries& y,
                     const Band& band, const DtwOptions& options = {},
                     double abandon_above = kNoAbandon);
 
-/// Distance-only DTW using two rolling rows (O(min work) memory). Roughly
-/// 2x faster than Dtw() with paths disabled on large inputs.
+/// Distance-only DTW keeping one strip of rows (O(m) memory). Roughly 2x
+/// faster than Dtw() with paths disabled on large inputs.
 double DtwDistance(const ts::TimeSeries& x, const ts::TimeSeries& y,
                    CostKind cost = CostKind::kAbsolute);
 
-/// Distance-only banded DTW with rolling rows sized to the widest band row
-/// (O(max band-row width) memory; per-row work is O(row width)).
+/// Distance-only banded DTW keeping one strip of band rows (memory follows
+/// the band's strip spans; per-row work is O(row width)).
 double DtwBandedDistance(const ts::TimeSeries& x, const ts::TimeSeries& y,
                          const Band& band,
                          CostKind cost = CostKind::kAbsolute);
 
 /// \name Scratch-buffer variants
 /// Identical results to the allocation-owning kernels above (bit for bit),
-/// but the rolling rows live in the caller-provided DtwScratch, which is
+/// but the strip buffers live in the caller-provided DtwScratch, which is
 /// grown on demand and reused across calls. These are the hot-loop entry
 /// points of the batched retrieval engine. A finite `abandon_above` (the
 /// caller's best-so-far) returns +infinity as soon as every cell of a DP
@@ -193,6 +201,22 @@ double DtwBandedDistance(const ts::TimeSeries& x, const ts::TimeSeries& y,
                          const Band& band, CostKind cost, DtwScratch& scratch,
                          double abandon_above = kNoAbandon);
 /// @}
+
+class BandMatrix;
+
+namespace internal {
+/// Fills every stored row of `d` with the DP of x against y (d's shape
+/// must be x.size() x y.size()). DP row 0 is read as stored: the origin of
+/// a closed-begin matrix, or the free-start row of an open-begin one.
+/// Returns D(n, m), +infinity when no path reaches it or when a finite
+/// `abandon_above` abandons the DP (as in DtwBanded). Sets *cells_filled
+/// to the cells filled when non-null. Shared by DtwBanded and the
+/// subsequence search.
+double FillBandMatrix(const ts::TimeSeries& x, const ts::TimeSeries& y,
+                      CostKind cost, double abandon_above,
+                      DtwScratch& scratch, BandMatrix& d,
+                      std::size_t* cells_filled);
+}  // namespace internal
 
 /// Validates warp-path structure per §2.1.1: starts at (0,0), ends at
 /// (N-1,M-1), steps ∈ {(1,0),(0,1),(1,1)}, and max(N,M) <= K <= N+M.

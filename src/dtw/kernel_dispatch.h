@@ -2,7 +2,7 @@
 #define SDTW_DTW_KERNEL_DISPATCH_H_
 
 /// \file kernel_dispatch.h
-/// \brief Runtime dispatch of the two-pass DP row kernel across ISAs.
+/// \brief Runtime dispatch of the strip-wavefront DP kernel across ISAs.
 ///
 /// One binary carries every row-kernel variant the compiler could build —
 /// portable, AVX2, AVX-512 — each compiled in its own translation unit
@@ -11,9 +11,9 @@
 /// supports is picked once at startup. No project-wide -march=native
 /// build is needed or offered: the SIMD kernels are always available,
 /// with no ODR hazard, because every
-/// helper in row_kernel.h has internal linkage and each variant TU
-/// instantiates the shared driver with a TU-local pass-1 functor — no
-/// arch-flagged code is ever visible outside its own TU.
+/// helper in row_kernel.h has internal linkage and each variant TU keeps
+/// its strip fill in an anonymous namespace — no arch-flagged code is ever
+/// visible outside its own TU.
 ///
 /// Selection order is avx512 > avx2 > portable among the variants that are
 /// both compiled in and supported by the CPU (via the compiler's CPUID
@@ -25,8 +25,8 @@
 /// runs). ResolveKernelOverride exposes the same resolution, error string
 /// included, without the abort so tests can pin the failure modes.
 ///
-/// Every variant obeys the row_kernel.h contract: distances, row minima,
-/// abandon decisions, and cell counts bit-identical to the scalar
+/// Every variant obeys the row_kernel.h contract: cell values, row minima,
+/// abandon decisions, and cell counts bit-identical to the scalar row
 /// reference. The property suite pins this for each variant the host can
 /// run, so callers may treat the active kernel as a pure speed choice.
 
@@ -44,23 +44,60 @@ namespace dtw {
 /// The row-kernel implementations a binary can carry. Listed in
 /// preference order; higher enumerators are preferred when supported.
 enum class KernelVariant {
-  kPortable,  ///< Baseline-ISA two-pass kernel; always compiled in.
-  kAvx2,      ///< 4-lane AVX2 pass 1.
-  kAvx512,    ///< 8-lane AVX-512F pass 1.
+  kPortable,  ///< Plain C++ over 8-element arrays; always compiled in.
+  kAvx2,      ///< The 8 lanes in two AVX2 registers.
+  kAvx512,    ///< The 8 lanes in one AVX-512F register.
 };
 
-/// Signature of a dispatched row fill: FillBandRowTwoPass (see
-/// row_kernel.h) with the cost functor baked in. Fills DP columns
-/// [clo, chi] of one row into the padded scratch row `cur`, reading the
-/// padded previous row whose window is [plo, phi]; returns the row
-/// minimum and adds the number of filled cells to *cells when non-null.
-using RowFillFn = double (*)(const double* prev, std::size_t plo,
-                             std::size_t phi, double* cur, std::size_t clo,
-                             std::size_t chi, double xi, const double* y,
-                             double* cost_row, unsigned char* flag_row,
-                             std::size_t* cells);
+/// DP rows advanced by one dispatched fill. Every variant uses the same
+/// height, so every variant abandons at the same row by construction.
+inline constexpr std::size_t kStripRows = 8;
 
-/// \brief One row-kernel variant: identity plus its row-fill entry points.
+/// \brief One strip of up to kStripRows consecutive DP rows, staged for a
+/// dispatched fill (the recurrence is documented in dtw/row_kernel.h).
+///
+/// The strip's rows are DP rows i0 + 1 .. i0 + kStripRows; lane l holds
+/// DP row i0 + kStripRows - l, so lane 0 is the strip's last row and lane
+/// kStripRows - 1 its first. At wavefront step k (k in [0, steps)) lane l
+/// computes DP column t0 + k - (kStripRows - 1 - l): lanes lag one column
+/// per row, so the kStripRows cells of one step do not depend on each
+/// other and a fill evaluates a whole step as one vector. Every array
+/// below is indexed by lane.
+struct DpStrip {
+  std::size_t steps = 0;           ///< Wavefront steps of the strip.
+  double x[kStripRows] = {};       ///< x value of each lane's row.
+  /// Lane l is live at step k iff begin[l] <= k < begin[l] + width[l]:
+  /// begin is the step of the row's first window column, width the
+  /// window's width. Width 0 marks an empty row, or a lane before the
+  /// first DP row.
+  std::size_t begin[kStripRows] = {};
+  std::size_t width[kStripRows] = {};
+  /// steps + 1 cells: the predecessor row (DP row i0) at columns t0 - 1
+  /// through t0 + steps - 1, +infinity outside its window.
+  const double* pred = nullptr;
+  /// steps + kStripRows - 1 values of y from index t0 - kStripRows on:
+  /// lane l at step k reads y[k + l]. Indices outside y hold any finite
+  /// value (only dead lanes read them).
+  const double* y = nullptr;
+  /// Output, steps * kStripRows cells, step-major: wave[kStripRows * k + l]
+  /// is lane l's value at step k, +infinity where the lane is dead.
+  double* wave = nullptr;
+  /// Output, steps cells: last[k] is lane 0 at step k, the strip's last
+  /// row at column t0 + k - (kStripRows - 1) — the wave's lane 0 again,
+  /// stored contiguously as the next strip's predecessor row.
+  double* last = nullptr;
+  bool count = false;  ///< Whether the fill must write `cells`.
+  double row_min[kStripRows] = {};  ///< Output: minimum of each row.
+  /// Output when `count`: cells of each row with a finite predecessor.
+  std::size_t cells[kStripRows] = {};
+};
+
+/// Signature of a dispatched strip fill: the strip recurrence with the
+/// cost functor baked in. Reads the staged inputs of `strip` and writes
+/// its wave, row minima and (when requested) cell counts.
+using StripFillFn = void (*)(DpStrip& strip);
+
+/// \brief One row-kernel variant: identity plus its strip-fill entry points.
 ///
 /// The ops tables are immutable statics living in the variant TUs, so a
 /// `const RowKernelOps*` is valid forever and trivially shareable across
@@ -69,10 +106,10 @@ using RowFillFn = double (*)(const double* prev, std::size_t plo,
 struct RowKernelOps {
   KernelVariant variant;
   const char* name;         ///< "portable" / "avx2" / "avx512".
-  RowFillFn fill_abs;       ///< Row fill under AbsCost.
-  RowFillFn fill_squared;   ///< Row fill under SquaredCost.
+  StripFillFn fill_abs;      ///< Strip fill under AbsCost.
+  StripFillFn fill_squared;  ///< Strip fill under SquaredCost.
 
-  RowFillFn fill(CostKind kind) const {
+  StripFillFn fill(CostKind kind) const {
     return kind == CostKind::kAbsolute ? fill_abs : fill_squared;
   }
 };

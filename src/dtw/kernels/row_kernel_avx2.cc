@@ -1,21 +1,18 @@
 /// \file row_kernel_avx2.cc
-/// \brief AVX2 row-kernel variant: explicit 4-lane pass 1.
+/// \brief AVX2 strip-fill variant: the 8 lanes of a strip in two 4-lane
+/// registers.
 ///
 /// Compiled with per-file -mavx2 (src/CMakeLists.txt) and dispatched only
 /// after the runtime CPU check, so nothing here may leak into other TUs:
-/// every symbol is in an anonymous namespace (except the ops table, whose
-/// initialisers are plain function pointers), and the shared driver is
-/// instantiated with the TU-local Avx2RowPass1 functor, which makes the
-/// instantiation itself unique to this TU.
+/// every symbol is in an anonymous namespace except the ops table, whose
+/// initialisers are plain function pointers.
 ///
-/// Pass 1 runs as 4-lane intrinsics: up/diag as shifted unaligned loads
-/// from the padded prev row, the carry flags extracted four at a time via
-/// movemask and a 16-entry byte-expansion table, the s[k-1] lane shift as
-/// a cross-lane permute blended with the previous group's top lane, and
-/// the tail as one back-aligned overlapping vector (recomputing up to
-/// three cells with identical inputs, hence identical bits) instead of a
-/// masked epilogue. Measured on the BM_DtwBandedNarrowDistance band
-/// (width 33): ~3x the portable variant's cells/s.
+/// One step of the recurrence (row_kernel.h) shifts the strip down one
+/// lane across the register pair: a vpermpd rotation of each half, then a
+/// blend that moves the high half's lane 0 into the low half and the
+/// predecessor cell into the top lane. Dead lanes add +infinity (a blend of the
+/// cost vector, off the min/add chain). The live mask is one signed
+/// 64-bit compare on sign-flipped operands, which AVX2 lacks unsigned.
 
 #if !defined(__AVX2__)
 #error "row_kernel_avx2.cc must be compiled with -mavx2"
@@ -25,7 +22,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 
 #include "dtw/cost.h"
 #include "dtw/kernel_dispatch.h"
@@ -38,13 +34,7 @@ namespace {
 
 using internal::kRowInf;
 
-// Expands a 4-bit movemask into four 0/1 flag bytes (little-endian lane
-// order: mask bit b -> byte b).
-const std::uint32_t kFlagBytes[16] = {
-    0x00000000u, 0x00000001u, 0x00000100u, 0x00000101u,
-    0x00010000u, 0x00010001u, 0x00010100u, 0x00010101u,
-    0x01000000u, 0x01000001u, 0x01000100u, 0x01000101u,
-    0x01010000u, 0x01010001u, 0x01010100u, 0x01010101u};
+static_assert(kStripRows == 8, "two __m256d hold the strip");
 
 inline __m256d CostVector(SquaredCost, __m256d xv, __m256d yv) {
   const __m256d d = _mm256_sub_pd(xv, yv);
@@ -56,71 +46,107 @@ inline __m256d CostVector(AbsCost, __m256d xv, __m256d yv) {
   return _mm256_andnot_pd(_mm256_set1_pd(-0.0), d);
 }
 
-struct Avx2RowPass1 {
-  static constexpr std::size_t kMinWidth = 4;
+inline __m256i LoadLanes(const std::size_t* p) {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+}
 
-  template <typename Cost>
-  double operator()(Cost cost, double xi, const double* pu, const double* pd,
-                    const double* yy, double* cur, double* cost_row,
-                    unsigned char* flag_row, std::size_t w) const {
-    const __m256d xv = _mm256_set1_pd(xi);
-    __m256d sminv = _mm256_set1_pd(kRowInf);
-    __m256d s_last = _mm256_set1_pd(kRowInf);  // lane 3 = s[k-1] carry-in
-    std::size_t k = 0;
-    for (; k + 4 <= w; k += 4) {
-      const __m256d up = _mm256_loadu_pd(pu + k);
-      const __m256d dg = _mm256_loadu_pd(pd + k);
-      const __m256d cv = CostVector(cost, xv, _mm256_loadu_pd(yy + k));
-      const __m256d sv = _mm256_add_pd(_mm256_min_pd(up, dg), cv);
-      _mm256_storeu_pd(cur + k, sv);
-      _mm256_storeu_pd(cost_row + k, cv);
-      sminv = _mm256_min_pd(sminv, sv);
-      // s shifted one lane right (s[k-1..k+2]): previous group's lane 3
-      // into lane 0, current lanes 0..2 into lanes 1..3.
-      const __m256d rot = _mm256_permute4x64_pd(sv, _MM_SHUFFLE(2, 1, 0, 3));
-      const __m256d prev_top =
-          _mm256_permute4x64_pd(s_last, _MM_SHUFFLE(3, 3, 3, 3));
-      const __m256d sprev = _mm256_blend_pd(rot, prev_top, 1);
-      s_last = sv;
-      const int fm = _mm256_movemask_pd(
-          _mm256_cmp_pd(_mm256_add_pd(sprev, cv), sv, _CMP_LT_OQ));
-      std::memcpy(flag_row + k, &kFlagBytes[fm], 4);
+inline void StoreLanes(std::size_t* p, __m256i v) {
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
+}
+
+template <typename Cost, bool kCount>
+void FillStrip(DpStrip& s) {
+  // Locals, not struct reads: stores to the wave may alias the strip.
+  const std::size_t steps = s.steps;
+  const double* pred = s.pred;
+  const double* y = s.y;
+  double* wave = s.wave;
+  double* last = s.last;
+  const __m256d inf = _mm256_set1_pd(kRowInf);
+  const __m256d x_lo = _mm256_loadu_pd(s.x);
+  const __m256d x_hi = _mm256_loadu_pd(s.x + 4);
+  // Lane r is live iff k - begin[r] < width[r], unsigned. Flipping the
+  // sign bit of both operands turns that into a signed compare; rel keeps
+  // k - begin + 2^63, so it advances by a plain add.
+  const __m256i sign = _mm256_set1_epi64x(INT64_MIN);
+  const __m256i one = _mm256_set1_epi64x(1);
+  const __m256i width_lo = _mm256_xor_si256(LoadLanes(s.width), sign);
+  const __m256i width_hi = _mm256_xor_si256(LoadLanes(s.width + 4), sign);
+  __m256i rel_lo = _mm256_xor_si256(
+      _mm256_sub_epi64(_mm256_setzero_si256(), LoadLanes(s.begin)), sign);
+  __m256i rel_hi = _mm256_xor_si256(
+      _mm256_sub_epi64(_mm256_setzero_si256(), LoadLanes(s.begin + 4)),
+      sign);
+  __m256d v_lo = inf;
+  __m256d v_hi = inf;
+  __m256d diag_lo = inf;
+  __m256d diag_hi = _mm256_blend_pd(inf, _mm256_set1_pd(pred[0]), 8);
+  __m256d min_lo = inf;
+  __m256d min_hi = inf;
+  __m256i cells_lo = _mm256_setzero_si256();
+  __m256i cells_hi = _mm256_setzero_si256();
+  for (std::size_t k = 0; k < steps; ++k) {
+    const __m256i live_lo = _mm256_cmpgt_epi64(width_lo, rel_lo);
+    const __m256i live_hi = _mm256_cmpgt_epi64(width_hi, rel_hi);
+    rel_lo = _mm256_add_epi64(rel_lo, one);
+    rel_hi = _mm256_add_epi64(rel_hi, one);
+    const __m256d c_lo = _mm256_blendv_pd(
+        inf, CostVector(Cost{}, x_lo, _mm256_loadu_pd(y + k)),
+        _mm256_castsi256_pd(live_lo));
+    const __m256d c_hi = _mm256_blendv_pd(
+        inf, CostVector(Cost{}, x_hi, _mm256_loadu_pd(y + k + 4)),
+        _mm256_castsi256_pd(live_hi));
+    // Rotations [v1, v2, v3, v0] of each half; the top lane of the low
+    // half takes the high half's lane 0, the top lane of the high half the
+    // predecessor cell.
+    const __m256d rot_lo =
+        _mm256_permute4x64_pd(v_lo, _MM_SHUFFLE(0, 3, 2, 1));
+    const __m256d rot_hi =
+        _mm256_permute4x64_pd(v_hi, _MM_SHUFFLE(0, 3, 2, 1));
+    const __m256d up_lo = _mm256_blend_pd(rot_lo, rot_hi, 8);
+    const __m256d up_hi =
+        _mm256_blend_pd(rot_hi, _mm256_set1_pd(pred[k + 1]), 8);
+    const __m256d best_lo =
+        _mm256_min_pd(_mm256_min_pd(diag_lo, v_lo), up_lo);
+    const __m256d best_hi =
+        _mm256_min_pd(_mm256_min_pd(diag_hi, v_hi), up_hi);
+    v_lo = _mm256_add_pd(best_lo, c_lo);
+    v_hi = _mm256_add_pd(best_hi, c_hi);
+    if (kCount) {
+      // All-ones lanes are -1: subtracting them counts.
+      cells_lo = _mm256_sub_epi64(
+          cells_lo,
+          _mm256_and_si256(live_lo, _mm256_castpd_si256(_mm256_cmp_pd(
+                                        best_lo, inf, _CMP_LT_OQ))));
+      cells_hi = _mm256_sub_epi64(
+          cells_hi,
+          _mm256_and_si256(live_hi, _mm256_castpd_si256(_mm256_cmp_pd(
+                                        best_hi, inf, _CMP_LT_OQ))));
     }
-    if (k < w) {
-      // Back-aligned overlapping tail vector: recomputes up to three
-      // cells with identical inputs (so identical bits), never reads past
-      // the row, and needs no masked epilogue. w >= 4 guaranteed by the
-      // driver's kMinWidth gate.
-      const std::size_t kt = w - 4;
-      const __m256d up = _mm256_loadu_pd(pu + kt);
-      const __m256d dg = _mm256_loadu_pd(pd + kt);
-      const __m256d cv = CostVector(cost, xv, _mm256_loadu_pd(yy + kt));
-      const __m256d sv = _mm256_add_pd(_mm256_min_pd(up, dg), cv);
-      _mm256_storeu_pd(cur + kt, sv);
-      _mm256_storeu_pd(cost_row + kt, cv);
-      sminv = _mm256_min_pd(sminv, sv);
-      // kt >= 1 here (w % 4 != 0 and w > 4), so cur[kt-1] is staged.
-      const __m256d sprev = _mm256_loadu_pd(cur + kt - 1);
-      const int fm = _mm256_movemask_pd(
-          _mm256_cmp_pd(_mm256_add_pd(sprev, cv), sv, _CMP_LT_OQ));
-      std::memcpy(flag_row + kt, &kFlagBytes[fm], 4);
-    }
-    const __m128d lo = _mm256_castpd256_pd128(sminv);
-    const __m128d hi = _mm256_extractf128_pd(sminv, 1);
-    __m128d m2 = _mm_min_pd(lo, hi);
-    m2 = _mm_min_sd(m2, _mm_unpackhi_pd(m2, m2));
-    return _mm_cvtsd_f64(m2);
+    min_lo = _mm256_min_pd(min_lo, v_lo);
+    min_hi = _mm256_min_pd(min_hi, v_hi);
+    double* out = wave + kStripRows * k;
+    _mm256_storeu_pd(out, v_lo);
+    _mm256_storeu_pd(out + 4, v_hi);
+    _mm_store_sd(last + k, _mm256_castpd256_pd128(v_lo));
+    diag_lo = up_lo;
+    diag_hi = up_hi;
   }
-};
+  _mm256_storeu_pd(s.row_min, min_lo);
+  _mm256_storeu_pd(s.row_min + 4, min_hi);
+  if (kCount) {
+    StoreLanes(s.cells, cells_lo);
+    StoreLanes(s.cells + 4, cells_hi);
+  }
+}
 
 template <typename Cost>
-double Fill(const double* prev, std::size_t plo, std::size_t phi,
-            double* cur, std::size_t clo, std::size_t chi, double xi,
-            const double* y, double* cost_row, unsigned char* flag_row,
-            std::size_t* cells) {
-  return internal::FillBandRowTwoPassImpl(prev, plo, phi, cur, clo, chi, xi,
-                                          y, Cost{}, cost_row, flag_row,
-                                          cells, Avx2RowPass1{});
+void Fill(DpStrip& strip) {
+  if (strip.count) {
+    FillStrip<Cost, true>(strip);
+  } else {
+    FillStrip<Cost, false>(strip);
+  }
 }
 
 }  // namespace

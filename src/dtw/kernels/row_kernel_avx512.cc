@@ -1,24 +1,19 @@
 /// \file row_kernel_avx512.cc
-/// \brief AVX-512 row-kernel variant: explicit 8-lane pass 1.
+/// \brief AVX-512 strip-fill variant: the 8 lanes of a strip in one
+/// register.
 ///
 /// Compiled with per-file -mavx512f (src/CMakeLists.txt) and dispatched
 /// only after the runtime CPU check; the same TU-isolation rules as the
 /// AVX2 variant apply (see row_kernel_avx2.cc).
 ///
-/// The 8-lane pass mirrors the AVX2 structure, using what AVX-512F adds:
-/// the s[k-1] lane shift is a single valignq concatenating the previous
-/// group's top lane with the current lanes 0..6; the carry-win compare
-/// yields a __mmask8 directly, expanded to flag bytes through the same
-/// 16-entry table twice (low and high nibble) — no VL/BW instructions, so
-/// plain avx512f is the only requirement; the staged minimum reduces once
-/// per row through a stack spill (order-insensitive: min is associative
-/// and commutative on the NaN-free values the kernel produces, and GCC's
-/// _mm512_reduce_min_pd spuriously trips -Wmaybe-uninitialized through
-/// _mm256_undefined_pd, which would break -Werror builds). The tail is
-/// the same back-aligned overlapping trick, recomputing up to seven cells
-/// with identical inputs, hence identical bits. The driver's minimum
-/// width for this pass is 8; rows of 4..7 cells take the scalar path,
-/// which is bit-identical by contract, so variant outputs still agree.
+/// One step of the recurrence (row_kernel.h) is: `up` as one valignq of
+/// the previous step's vector with the predecessor cell broadcast into
+/// the top lane; `diag` as the previous step's `up`; two integer mins
+/// (see MinValues) and one masked add, whose pass-through of +infinity
+/// kills the dead lanes; the
+/// live mask as one unsigned 64-bit compare. Only plain AVX-512F
+/// instructions are used. The row minima and counts stay in registers
+/// until the strip ends.
 
 #if !defined(__AVX512F__)
 #error "row_kernel_avx512.cc must be compiled with -mavx512f"
@@ -36,8 +31,6 @@
 #include <immintrin.h>
 
 #include <cstddef>
-#include <cstdint>
-#include <cstring>
 
 #include "dtw/cost.h"
 #include "dtw/kernel_dispatch.h"
@@ -50,20 +43,7 @@ namespace {
 
 using internal::kRowInf;
 
-// Expands a 4-bit mask nibble into four 0/1 flag bytes (little-endian
-// lane order: mask bit b -> byte b).
-const std::uint32_t kFlagBytes[16] = {
-    0x00000000u, 0x00000001u, 0x00000100u, 0x00000101u,
-    0x00010000u, 0x00010001u, 0x00010100u, 0x00010101u,
-    0x01000000u, 0x01000001u, 0x01000100u, 0x01000101u,
-    0x01010000u, 0x01010001u, 0x01010100u, 0x01010101u};
-
-inline void WriteFlagBytes(unsigned char* f, unsigned mask8) {
-  const std::uint64_t bytes =
-      static_cast<std::uint64_t>(kFlagBytes[mask8 & 15u]) |
-      static_cast<std::uint64_t>(kFlagBytes[mask8 >> 4]) << 32;
-  std::memcpy(f, &bytes, 8);
-}
+static_assert(kStripRows == 8, "one __m512d holds the strip");
 
 inline __m512d CostVector(SquaredCost, __m512d xv, __m512d yv) {
   const __m512d d = _mm512_sub_pd(xv, yv);
@@ -74,75 +54,66 @@ inline __m512d CostVector(AbsCost, __m512d xv, __m512d yv) {
   return _mm512_abs_pd(_mm512_sub_pd(xv, yv));
 }
 
-// s shifted one lane right: [s_last lane 7, sv lanes 0..6]. valignq with
-// shift 7 takes the top qword of the low operand and the low 7 of the
-// high operand.
-inline __m512d ShiftInPrevTop(__m512d sv, __m512d s_last) {
-  return _mm512_castsi512_pd(_mm512_alignr_epi64(
-      _mm512_castpd_si512(sv), _mm512_castpd_si512(s_last), 7));
+// min of two DP values as unsigned 64-bit integers. Every DP value is a
+// sum of non-negative costs or +infinity, never NaN or -0, and on such
+// doubles the unsigned order of the bit patterns is the numeric order, so
+// this is exactly _mm512_min_pd — at a quarter of its latency, which
+// shortens the step's serial min/min/add chain.
+inline __m512d MinValues(__m512d a, __m512d b) {
+  return _mm512_castsi512_pd(
+      _mm512_min_epu64(_mm512_castpd_si512(a), _mm512_castpd_si512(b)));
 }
 
-struct Avx512RowPass1 {
-  static constexpr std::size_t kMinWidth = 8;
-
-  template <typename Cost>
-  double operator()(Cost cost, double xi, const double* pu, const double* pd,
-                    const double* yy, double* cur, double* cost_row,
-                    unsigned char* flag_row, std::size_t w) const {
-    const __m512d xv = _mm512_set1_pd(xi);
-    __m512d sminv = _mm512_set1_pd(kRowInf);
-    __m512d s_last = _mm512_set1_pd(kRowInf);  // lane 7 = s[k-1] carry-in
-    std::size_t k = 0;
-    for (; k + 8 <= w; k += 8) {
-      const __m512d up = _mm512_loadu_pd(pu + k);
-      const __m512d dg = _mm512_loadu_pd(pd + k);
-      const __m512d cv = CostVector(cost, xv, _mm512_loadu_pd(yy + k));
-      const __m512d sv = _mm512_add_pd(_mm512_min_pd(up, dg), cv);
-      _mm512_storeu_pd(cur + k, sv);
-      _mm512_storeu_pd(cost_row + k, cv);
-      sminv = _mm512_min_pd(sminv, sv);
-      const __m512d sprev = ShiftInPrevTop(sv, s_last);
-      s_last = sv;
-      const __mmask8 fm = _mm512_cmp_pd_mask(_mm512_add_pd(sprev, cv), sv,
-                                             _CMP_LT_OQ);
-      WriteFlagBytes(flag_row + k, fm);
+template <typename Cost, bool kCount>
+void FillStrip(DpStrip& s) {
+  // Locals, not struct reads: stores to the wave may alias the strip.
+  const std::size_t steps = s.steps;
+  const double* pred = s.pred;
+  const double* y = s.y;
+  double* wave = s.wave;
+  double* last = s.last;
+  const __m512d inf = _mm512_set1_pd(kRowInf);
+  const __m512d xv = _mm512_loadu_pd(s.x);
+  const __m512i width = _mm512_loadu_si512(s.width);
+  const __m512i one = _mm512_set1_epi64(1);
+  // rel = k - begin per lane; live iff rel < width, unsigned.
+  __m512i rel = _mm512_sub_epi64(_mm512_setzero_si512(),
+                                 _mm512_loadu_si512(s.begin));
+  __m512d v = inf;
+  __m512d diag = _mm512_mask_mov_pd(inf, 0x80, _mm512_set1_pd(pred[0]));
+  __m512d row_min = inf;
+  __m512i cells = _mm512_setzero_si512();
+  for (std::size_t k = 0; k < steps; ++k) {
+    const __mmask8 live = _mm512_cmplt_epu64_mask(rel, width);
+    rel = _mm512_add_epi64(rel, one);
+    const __m512d c = CostVector(Cost{}, xv, _mm512_loadu_pd(y + k));
+    // [v lanes 1..7, pred cell]: valignq by one qword of v:broadcast.
+    const __m512d up = _mm512_castsi512_pd(_mm512_alignr_epi64(
+        _mm512_castpd_si512(_mm512_set1_pd(pred[k + 1])),
+        _mm512_castpd_si512(v), 1));
+    const __m512d best = MinValues(MinValues(diag, v), up);
+    v = _mm512_mask_add_pd(inf, live, best, c);
+    if (kCount) {
+      const __mmask8 finite =
+          _mm512_mask_cmp_pd_mask(live, best, inf, _CMP_LT_OQ);
+      cells = _mm512_mask_add_epi64(cells, finite, cells, one);
     }
-    if (k < w) {
-      // Back-aligned overlapping tail vector, as in the AVX2 variant:
-      // recomputes up to seven cells with identical inputs (identical
-      // bits). w >= 8 guaranteed by the driver's kMinWidth gate.
-      const std::size_t kt = w - 8;
-      const __m512d up = _mm512_loadu_pd(pu + kt);
-      const __m512d dg = _mm512_loadu_pd(pd + kt);
-      const __m512d cv = CostVector(cost, xv, _mm512_loadu_pd(yy + kt));
-      const __m512d sv = _mm512_add_pd(_mm512_min_pd(up, dg), cv);
-      _mm512_storeu_pd(cur + kt, sv);
-      _mm512_storeu_pd(cost_row + kt, cv);
-      sminv = _mm512_min_pd(sminv, sv);
-      // kt >= 1 here (w % 8 != 0 and w > 8), so cur[kt-1] is staged.
-      const __m512d sprev = _mm512_loadu_pd(cur + kt - 1);
-      const __mmask8 fm = _mm512_cmp_pd_mask(_mm512_add_pd(sprev, cv), sv,
-                                             _CMP_LT_OQ);
-      WriteFlagBytes(flag_row + kt, fm);
-    }
-    alignas(64) double lanes[8];
-    _mm512_store_pd(lanes, sminv);
-    double smin = lanes[0];
-    for (int i = 1; i < 8; ++i) {
-      if (lanes[i] < smin) smin = lanes[i];
-    }
-    return smin;
+    row_min = _mm512_min_pd(row_min, v);
+    _mm512_storeu_pd(wave + kStripRows * k, v);
+    _mm_store_sd(last + k, _mm512_castpd512_pd128(v));
+    diag = up;
   }
-};
+  _mm512_storeu_pd(s.row_min, row_min);
+  if (kCount) _mm512_storeu_si512(s.cells, cells);
+}
 
 template <typename Cost>
-double Fill(const double* prev, std::size_t plo, std::size_t phi,
-            double* cur, std::size_t clo, std::size_t chi, double xi,
-            const double* y, double* cost_row, unsigned char* flag_row,
-            std::size_t* cells) {
-  return internal::FillBandRowTwoPassImpl(prev, plo, phi, cur, clo, chi, xi,
-                                          y, Cost{}, cost_row, flag_row,
-                                          cells, Avx512RowPass1{});
+void Fill(DpStrip& strip) {
+  if (strip.count) {
+    FillStrip<Cost, true>(strip);
+  } else {
+    FillStrip<Cost, false>(strip);
+  }
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 /// \file row_kernel_portable.cc
-/// \brief Portable row-kernel variant: the two-pass kernel compiled with
-/// the project's baseline flags only. Always compiled in; the floor every
-/// other variant must match bit for bit, and the fallback selected when
-/// the CPU offers no vector ISA we carry.
+/// \brief Portable strip-fill variant: the strip recurrence of
+/// row_kernel.h in plain C++ over 8-element arrays, compiled with the
+/// project's baseline flags only. Always compiled in; the fallback
+/// selected when the CPU offers no vector ISA we carry. The per-lane loops
+/// have no dependency across lanes, so the compiler vectorises them with
+/// whatever the baseline ISA allows.
 
 #include <cstddef>
 
@@ -15,13 +17,72 @@ namespace dtw {
 
 namespace {
 
+using internal::kRowInf;
+constexpr std::size_t kLanes = kStripRows;
+
+template <typename Cost, bool kCount>
+void FillStrip(DpStrip& s) {
+  // Locals, not struct reads: stores to the wave may alias the strip.
+  const std::size_t steps = s.steps;
+  const double* pred = s.pred;
+  const double* y = s.y;
+  double* wave = s.wave;
+  double* last = s.last;
+  std::size_t begin[kLanes];
+  std::size_t width[kLanes];
+  double x[kLanes];
+  const Cost cost;
+  double v[kLanes];     // lane values of the previous step (left)
+  double diag[kLanes];  // the previous step's up vector
+  double row_min[kLanes];
+  std::size_t cells[kLanes];
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    v[l] = kRowInf;
+    diag[l] = kRowInf;
+    row_min[l] = kRowInf;
+    cells[l] = 0;
+    begin[l] = s.begin[l];
+    width[l] = s.width[l];
+    x[l] = s.x[l];
+  }
+  diag[kLanes - 1] = pred[0];
+  for (std::size_t k = 0; k < steps; ++k) {
+    // Lane l + 1 holds the row above lane l; the top lane's is pred.
+    double up[kLanes];
+    for (std::size_t l = 0; l + 1 < kLanes; ++l) up[l] = v[l + 1];
+    up[kLanes - 1] = pred[k + 1];
+    const double* yy = y + k;
+    double* out = wave + kLanes * k;
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      const bool live = k - begin[l] < width[l];
+      const double a = diag[l] < v[l] ? diag[l] : v[l];
+      const double best = a < up[l] ? a : up[l];
+      // A dead lane adds +infinity, which keeps it at +infinity.
+      const double c = live ? cost(x[l], yy[l]) : kRowInf;
+      const double value = best + c;
+      if (kCount) cells[l] += live && best < kRowInf ? 1 : 0;
+      row_min[l] = value < row_min[l] ? value : row_min[l];
+      out[l] = value;
+    }
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      v[l] = out[l];
+      diag[l] = up[l];
+    }
+    last[k] = out[0];
+  }
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    s.row_min[l] = row_min[l];
+    if (kCount) s.cells[l] = cells[l];
+  }
+}
+
 template <typename Cost>
-double Fill(const double* prev, std::size_t plo, std::size_t phi,
-            double* cur, std::size_t clo, std::size_t chi, double xi,
-            const double* y, double* cost_row, unsigned char* flag_row,
-            std::size_t* cells) {
-  return internal::FillBandRowTwoPass(prev, plo, phi, cur, clo, chi, xi, y,
-                                      Cost{}, cost_row, flag_row, cells);
+void Fill(DpStrip& strip) {
+  if (strip.count) {
+    FillStrip<Cost, true>(strip);
+  } else {
+    FillStrip<Cost, false>(strip);
+  }
 }
 
 }  // namespace

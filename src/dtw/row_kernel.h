@@ -2,81 +2,69 @@
 #define SDTW_DTW_ROW_KERNEL_H_
 
 /// \file row_kernel.h
-/// \brief The banded DP row recurrence: scalar reference and the
-/// vectorisable two-pass kernel body shared by every ISA variant.
+/// \brief The DP recurrence: the scalar row reference, and the strip
+/// wavefront every dispatched kernel variant implements.
 ///
-/// Both kernels fill one DP row window: cur[0..chi-clo] receives DP columns
-/// [clo, chi] of row i, reading DP row i-1 from prev whose window is
-/// [plo, phi] (reads outside it are +infinity, exactly like the out-of-band
-/// cells of a full matrix). Cells with no finite predecessor stay +infinity
-/// and are not counted. Both return the minimum filled value (for early
-/// abandoning) and produce bit-identical cur rows, row minima, and cell
-/// counts — the property suite pins this across random bands, window
-/// shapes, and costs.
+/// Every DP cell is D(i, j) = min(D(i, j-1), D(i-1, j-1), D(i-1, j)) +
+/// Δ(x_i, y_j): one min over the three predecessors, then one separately
+/// rounded add of the cost. A cell with no finite predecessor stays
+/// +infinity and is not counted; reads outside a row's window are
+/// +infinity, exactly like the out-of-band cells of a full matrix.
 ///
-/// FillBandRowScalar is the historical loop: one serial pass whose every
-/// cell carries a `left` dependency through two mins and an add, plus
-/// per-cell band-window branches — the compiler cannot vectorise any of it.
+/// FillBandRowScalar is the historical loop, one row at a time: a serial
+/// pass whose every cell carries the `left` dependency. It is the oracle
+/// the property suite pins every variant against, row by row.
 ///
-/// One caveat bounds the bit-identical contract: cost values must be
-/// finite. If Δ overflows to +infinity (|x − y| ≳ 1.3e154 under the
-/// squared cost), cell *values* still agree (both kernels store +inf) but
-/// the two-pass cell *count* — derived from the first finite staged sum —
-/// can differ from the scalar loop's per-cell finite-predecessor count.
-/// Series magnitudes anywhere near that are outside every supported
-/// workload (inputs are typically z-normalised).
+/// The dispatched kernels (src/dtw/kernels/row_kernel_{portable,avx2,
+/// avx512}.cc) fill a strip of kStripRows = 8 consecutive DP rows per call
+/// instead (the DpStrip layout is in dtw/kernel_dispatch.h). At step k the
+/// state vector V holds strip row r (DP row i0+1+r) at column t0+k-r, in
+/// lane 7-r: each row lags the one above by a column, so the 8 cells of a
+/// step do not depend on each other. The rows sit bottom-up so that the
+/// lanes read y in ascending order and the last row, the next strip's
+/// predecessor, is lane 0:
 ///
-/// FillBandRowTwoPassImpl splits the recurrence so almost all of the work
-/// has no loop-carried dependency:
+///   left = V_{k-1}: the lane's own previous cell, one column to the left;
+///   up   = V_{k-1} shifted down one lane (lane l reads lane l+1, the row
+///          above at the same column), with the predecessor row's cell in
+///          the top lane;
+///   diag = the previous step's `up` vector, so it needs no extra shuffle.
 ///
-///   pass 1 (vectorisable, supplied per ISA by a Pass1 functor): stage the
-///     cost row c[k] = Δ(x_i, y[clo-1+k]), then s[k] = min(up[k], diag[k])
-///     + c[k] — the row value *assuming the left predecessor never wins*.
-///     The band-window +inf guards are gone: prev rows carry kRowPad guard
-///     cells of +infinity on both sides, so up/diag are plain shifted
-///     loads for any window that moves by at most kRowPad columns per row
-///     (slower-moving than that covers every Sakoe-Chiba/Itakura/sDTW
-///     band; rows that jump farther take the scalar path). Pass 1 also
-///     flags the cells where the left predecessor *could* win:
-///     f[k] = s[k-1] + c[k] < s[k].
-///   pass 2 (serial): resolve the left dependency with a tight scan. Since
-///     min(a,b) + c and min(a+c, b+c) are the same value in floating point
-///     (rounded addition of the shared c is monotone, so the smaller
-///     operand stays smaller and the selected sum is rounded identically),
-///     v[k] = min(t[k], v[k-1]) + c[k] = min(s[k], v[k-1] + c[k]) — cell k
-///     differs from s[k] only when a chain of left wins reaches it, and
-///     such a chain can only *start* at a flagged cell (v <= s, so
-///     v[k-1] + c[k] < s[k] implies s[k-1] + c[k] < s[k]). The scan
-///     therefore skips ahead flag-by-flag (runs of carry-free cells are
-///     already final in cur) and only walks the rare serial segments
-///     where the carry survives — ~5% of cells on smooth series.
+/// A lane is live while its column lies in its row's window, tested as one
+/// unsigned compare (k - begin < width); dead lanes hold +infinity, which
+/// is exactly the out-of-window value the row below reads. This handles
+/// any window shape — empty rows, rows of any width, windows that jump any
+/// distance between rows — with no fallback path.
 ///
-/// The identical association order (one min against `left`, then one add
-/// of the separately-rounded cost) keeps every DP value bit-identical to
-/// the scalar loop, which is what pins the retrieval engine's hit lists
-/// across kernels, thread counts, and visit orders. This also requires
-/// building without FMA contraction (-ffp-contract=off): fusing the cost
-/// multiply into the accumulate add would change the rounding of *both*
-/// kernels' cells.
+/// Per-row semantics stay per row. The fill keeps a minimum per lane and,
+/// on request, a count per lane of cells with a finite predecessor. The
+/// driver (dtw.cc) then scans the strip's rows in order and abandons at the
+/// first row whose minimum exceeds its threshold, counting cells up to and
+/// including that row: exactly the row-at-a-time semantics of
+/// FillBandRowScalar, so abandon decisions and cell counts are identical,
+/// not just distances. The count stays exact when Δ overflows to +infinity
+/// (a finite predecessor plus an infinite cost is a counted +infinity
+/// cell, in both kernels).
 ///
-/// ISA variants live in src/dtw/kernels/row_kernel_{portable,avx2,
-/// avx512}.cc — each its own translation unit compiled with per-file arch
-/// flags and selected at runtime through dtw::RowKernelOps (see
+/// Every value is bit-identical to the scalar loop: min is exact on the
+/// kernel's NaN-free values whatever the order of its operands, and the
+/// one add of the separately rounded cost is the same add. This also
+/// requires building without FMA contraction (-ffp-contract=off): fusing
+/// the cost multiply into the accumulate add would change the rounding.
+///
+/// Each variant lives in its own translation unit, compiled with per-file
+/// arch flags and selected at runtime through dtw::RowKernelOps (see
 /// dtw/kernel_dispatch.h). To make that per-TU compilation safe, EVERY
 /// function in this header has internal linkage (`static`): a TU built
 /// with -mavx512f may compile these bodies with AVX-512 encodings, and if
 /// they had external (vague/comdat) linkage the linker would keep ONE
 /// arbitrary copy per binary — possibly the AVX-512 one — and hand it to
 /// TUs meant to stay portable. Internal linkage gives every TU its own
-/// copy compiled with its own flags, which is the whole point of the
-/// dispatch refactor. Do not remove the `static`s.
+/// copy compiled with its own flags. Do not remove the `static`s.
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
-#include <cstring>
 #include <limits>
 
 #include "dtw/cost.h"
@@ -85,21 +73,13 @@ namespace sdtw {
 namespace dtw {
 namespace internal {
 
-/// Guard cells of +infinity kept on both sides of every DtwScratch DP row.
-/// Pass 1 of the two-pass kernel reads predecessor cells as shifted loads
-/// whose indices stay within the pads whenever the DP window moves by at
-/// most kRowPad columns between rows; the pads then supply the +infinity
-/// an out-of-band read must observe.
-inline constexpr std::size_t kRowPad = 8;
-
 inline constexpr double kRowInf = std::numeric_limits<double>::infinity();
 
-/// Scalar reference row fill — the historical serial loop, retained
-/// verbatim as the slow path for windows that jump more than kRowPad
-/// columns, for rows narrower than one vector, and as the oracle the
-/// property suite pins every dispatched variant against. Reads prev only
-/// through its window guards (no pads required) and writes exactly
-/// cur[0..chi-clo]. `cells` (when non-null) is incremented once per
+/// Scalar reference row fill — the historical serial loop, retained as the
+/// oracle the property suite pins every dispatched variant against. Fills
+/// cur[0..chi-clo] with DP columns [clo, chi] of row i, reading DP row i-1
+/// from prev, whose window is [plo, phi] (reads outside it are +infinity).
+/// Returns the row minimum; `cells` (when non-null) is incremented once per
 /// filled cell.
 template <typename Cost>
 static double FillBandRowScalar(const double* prev, std::size_t plo,
@@ -123,183 +103,6 @@ static double FillBandRowScalar(const double* prev, std::size_t plo,
     left = v;
   }
   return row_min;
-}
-
-/// Rewrites the +infinity guard pads around a freshly filled row of width
-/// `w`, restoring the invariant the next row's pass 1 depends on.
-static inline void WriteRowPads(double* row, std::size_t w) {
-  for (std::size_t k = 1; k <= kRowPad; ++k) {
-    row[-static_cast<std::ptrdiff_t>(k)] = kRowInf;
-    row[w + k - 1] = kRowInf;
-  }
-}
-
-/// Initialises a scratch row as the DP origin row (window {0}): pads of
-/// +infinity around the single origin cell 0.
-static inline void ArmOriginRow(double* row) {
-  WriteRowPads(row, 1);
-  row[0] = 0.0;
-}
-
-/// Pass 2 of the two-pass kernel: resolves the left dependency over the
-/// staged row. On entry cur[0..w) holds s (the no-left-win values), c the
-/// cost row, f the carry-entry flag bytes (f[0] forced 0), and `smin` the
-/// minimum of the staged values. Returns the row minimum of the final
-/// values. Runs of unflagged cells are already final; only the serial
-/// carry segments are walked, each evaluating the exact recurrence
-/// v[k] = min(s[k], v[k-1] + c[k]).
-static inline double ResolveLeftDependency(double* cur, const double* c,
-                                           const unsigned char* f,
-                                           std::size_t w, double smin) {
-  double row_min = smin;
-  std::size_t k = 1;
-  while (k < w) {
-    // Skip to the next flagged cell, eight flag bytes at a time. The
-    // lowest-addressed non-zero byte is at the counting-from-LSB end on
-    // little-endian and the counting-from-MSB end on big-endian.
-    while (k + 8 <= w) {
-      std::uint64_t word;
-      std::memcpy(&word, f + k, 8);
-      if (word != 0) {
-        const int bit = std::endian::native == std::endian::little
-                            ? std::countr_zero(word)
-                            : std::countl_zero(word);
-        k += static_cast<std::size_t>(bit) >> 3;
-        break;
-      }
-      k += 8;
-    }
-    while (k < w && f[k] == 0) ++k;
-    if (k >= w) break;
-    // Serial carry segment: walk while the left predecessor keeps
-    // winning. cur[k-1] is final (either carry-free, or fixed by an
-    // earlier segment that died before k). The win test is a branch, not
-    // a select: inside a segment it is all but always taken (carry runs
-    // are long on smooth series), so the loop-carried chain is a single
-    // rounded add per cell and the comparison retires off the chain.
-    double left = cur[k - 1];
-    for (;;) {
-      const double lc = left + c[k];
-      if (!(lc < cur[k])) {
-        // The segment died at cell k (its staged value stands), and a
-        // true carry entry at k would contradict this exit (the staged
-        // flag only over-approximates the carry value), so cell k's flag
-        // is necessarily clear — resume the scan after it.
-        ++k;
-        break;
-      }
-      cur[k] = lc;
-      if (lc < row_min) row_min = lc;
-      left = lc;
-      if (++k >= w) break;
-    }
-  }
-  return row_min;
-}
-
-/// Portable pass 1: plain loops over the staged rows. The cost row is
-/// staged through Cost::Row (a dependency-free loop the compiler can
-/// auto-vectorise with whatever the build's baseline ISA allows), then the
-/// staged values, carry flags, and staged minimum are computed in three
-/// further dependency-free sweeps.
-struct PortableRowPass1 {
-  /// Narrowest window pass 1 accepts; anything narrower takes the scalar
-  /// reference path (identical results by definition).
-  static constexpr std::size_t kMinWidth = 4;
-
-  template <typename Cost>
-  double operator()([[maybe_unused]] Cost cost, double xi, const double* pu,
-                    const double* pd, const double* yy, double* cur,
-                    double* cost_row, unsigned char* flag_row,
-                    std::size_t w) const {
-    Cost::Row(xi, yy, cost_row, w);
-    for (std::size_t k = 0; k < w; ++k) {
-      const double t = pu[k] < pd[k] ? pu[k] : pd[k];
-      cur[k] = t + cost_row[k];
-    }
-    for (std::size_t k = 1; k < w; ++k) {
-      flag_row[k] = cur[k - 1] + cost_row[k] < cur[k] ? 1 : 0;
-    }
-    double smin = kRowInf;
-    for (std::size_t k = 0; k < w; ++k) {
-      if (cur[k] < smin) smin = cur[k];
-    }
-    return smin;
-  }
-};
-
-/// Two-pass row fill over padded scratch rows, generic over the pass-1
-/// implementation (each ISA variant TU instantiates it with its own
-/// TU-local Pass1 functor — the instantiation is then unique to that TU,
-/// never shared across arch flags). prev and cur must each carry kRowPad
-/// guard cells on both sides; prev's guards (and any cell of its window)
-/// must be valid, as maintained by a previous call or by ArmOriginRow.
-/// cost_row and flag_row need chi-clo+1 usable cells. Writes
-/// cur[0..chi-clo] plus its guard pads. Bit-identical outputs to
-/// FillBandRowScalar (values, row minimum, cell count).
-template <typename Cost, typename Pass1>
-static double FillBandRowTwoPassImpl(const double* prev, std::size_t plo,
-                                     std::size_t phi, double* cur,
-                                     std::size_t clo, std::size_t chi,
-                                     double xi, const double* y, Cost cost,
-                                     double* cost_row,
-                                     unsigned char* flag_row,
-                                     std::size_t* cells, Pass1 pass1) {
-  const std::size_t w = chi - clo + 1;
-  if (plo > phi) {
-    // Empty predecessor window: no cell has a finite predecessor.
-    for (std::size_t k = 0; k < w; ++k) cur[k] = kRowInf;
-    WriteRowPads(cur, w);
-    return kRowInf;
-  }
-  if (w < Pass1::kMinWidth || clo + kRowPad < plo + 1 ||
-      chi > phi + kRowPad) {
-    // Window narrower than one vector, or moving faster than the guard
-    // pads cover: take the scalar path (identical results by definition).
-    const double row_min =
-        FillBandRowScalar(prev, plo, phi, cur, clo, chi, xi, y, cost, cells);
-    WriteRowPads(cur, w);
-    return row_min;
-  }
-
-  // Pass 1: stage cost row, s = min(up, diag) + c into cur, carry flags.
-  const std::ptrdiff_t shift = static_cast<std::ptrdiff_t>(clo) -
-                               static_cast<std::ptrdiff_t>(plo);
-  const double* pu = prev + shift;      // up:   prev DP column j
-  const double* pd = prev + shift - 1;  // diag: prev DP column j-1
-  const double* yy = y + (clo - 1);
-  const double smin = pass1(cost, xi, pu, pd, yy, cur, cost_row, flag_row, w);
-  flag_row[0] = 0;
-
-  if (cells != nullptr) {
-    // Cells with a finite predecessor: everything from the first finite
-    // staged value on (once any cell is finite, the left chain keeps all
-    // later cells finite — costs are finite). The scan almost always
-    // stops at cell 0.
-    std::size_t k0 = 0;
-    while (k0 < w && !(cur[k0] < kRowInf)) ++k0;
-    *cells += w - k0;
-  }
-
-  const double row_min = ResolveLeftDependency(cur, cost_row, flag_row, w,
-                                               smin);
-  WriteRowPads(cur, w);
-  return row_min;
-}
-
-/// The portable two-pass kernel under its historical name — what the
-/// portable dispatch variant wraps, and the direct entry point of the
-/// in-TU property tests and benches.
-template <typename Cost>
-static double FillBandRowTwoPass(const double* prev, std::size_t plo,
-                                 std::size_t phi, double* cur,
-                                 std::size_t clo, std::size_t chi, double xi,
-                                 const double* y, Cost cost, double* cost_row,
-                                 unsigned char* flag_row,
-                                 std::size_t* cells) {
-  return FillBandRowTwoPassImpl(prev, plo, phi, cur, clo, chi, xi, y, cost,
-                                cost_row, flag_row, cells,
-                                PortableRowPass1{});
 }
 
 }  // namespace internal

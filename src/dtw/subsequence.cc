@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "dtw/band_matrix.h"
-#include "dtw/row_kernel.h"
 
 namespace sdtw {
 namespace dtw {
@@ -20,37 +18,22 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // BandMatrix shares the storage/backtrack machinery with the banded
 // kernels and makes a band-constrained subsequence search a drop-in.
 //
-// The rows themselves run through the dispatched row kernel in padded
-// rolling scratch rows and are copied out, exactly like the banded
-// path-preserving kernel: row 0 is the free-start window [0, m] of zeros,
-// rows i >= 1 fill [1, m] (the kernel's out-of-band semantics supply the
-// d(i, 0) = +inf left border at j = 1). The historical per-cell loop had
-// the same association order — min of the three predecessors, then one
-// separately-rounded cost add — so values are bit-identical to it on
-// every variant.
+// The rows run through the same strip driver as the banded
+// path-preserving kernel: the free-start row is just a different first
+// predecessor row (window [0, m] of zeros), and rows i >= 1 fill [1, m]
+// (out-of-window reads supply the d(i, 0) = +inf left border at j = 1).
+// The historical per-cell loop had the same association order — min of
+// the three predecessors, then one separately-rounded cost add — so
+// values are bit-identical to it on every variant.
 BandMatrix FillOpenBeginMatrix(const ts::TimeSeries& query,
                                const ts::TimeSeries& series, CostKind cost,
                                const RowKernelOps* kernel) {
-  const std::size_t n = query.size();
-  const std::size_t m = series.size();
-  BandMatrix d = BandMatrix::OpenBegin(Band::Full(n, m));
+  BandMatrix d =
+      BandMatrix::OpenBegin(Band::Full(query.size(), series.size()));
   DtwScratch scratch;
   scratch.set_kernel(kernel);
-  scratch.EnsureWidth(m + 1);
-  const RowFillFn fill = scratch.kernel().fill(cost);
-  double* prev = scratch.prev_row();
-  double* cur = scratch.cur_row();
-  // Free-start row: d(0, j) = 0 across the full window [0, m].
-  internal::WriteRowPads(prev, m + 1);
-  for (std::size_t j = 0; j <= m; ++j) prev[j] = 0.0;
-  std::size_t plo = 0;
-  for (std::size_t i = 1; i <= n; ++i) {
-    fill(prev, plo, m, cur, 1, m, query[i - 1], series.values().data(),
-         scratch.cost_row(), scratch.flag_row(), nullptr);
-    std::memcpy(d.row_data(i), cur, m * sizeof(double));
-    std::swap(prev, cur);
-    plo = 1;
-  }
+  internal::FillBandMatrix(query, series, cost, kNoAbandon, scratch, d,
+                           nullptr);
   return d;
 }
 

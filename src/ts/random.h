@@ -26,10 +26,14 @@ class Rng {
     return d(engine_);
   }
 
-  /// Standard normal scaled by sigma, centred at mu.
+  /// Standard normal scaled by sigma, centred at mu. sigma = 0 is allowed
+  /// and returns mu (std::normal_distribution itself requires sigma > 0):
+  /// the standard draw z is scaled as z * sigma + mu, the arithmetic the
+  /// library distribution performs, so every draw is bitwise the same and
+  /// consumes the same engine output whatever sigma is.
   double Gaussian(double mu = 0.0, double sigma = 1.0) {
-    std::normal_distribution<double> d(mu, sigma);
-    return d(engine_);
+    std::normal_distribution<double> d;
+    return d(engine_) * sigma + mu;
   }
 
   /// Uniform integer in [lo, hi] (inclusive).

@@ -330,6 +330,35 @@ TEST(DtwScratchTest, GrowsOnDemandAndNeverShrinks) {
   EXPECT_EQ(DtwDistance(x, x, CostKind::kAbsolute, scratch), 0.0);
 }
 
+TEST(DtwScratchTest, GrowthMidDpKeepsThePredecessorRow) {
+  // The first strip's rows are 3 cells wide and every later row spans the
+  // grid, so a fresh scratch grows while the next strip's predecessor row
+  // lives in it (under ASan, a lost row is a use-after-free).
+  const std::size_t n = 40;
+  const std::size_t m = 120;
+  std::vector<double> xv(n);
+  std::vector<double> yv(m);
+  for (std::size_t i = 0; i < n; ++i) xv[i] = std::sin(0.3 * i);
+  for (std::size_t j = 0; j < m; ++j) yv[j] = std::cos(0.1 * j);
+  const ts::TimeSeries x(xv);
+  const ts::TimeSeries y(yv);
+  std::vector<BandRow> rows(n, BandRow{0, m - 1});
+  for (std::size_t i = 0; i < 8; ++i) rows[i] = BandRow{i, i + 2};
+  const Band band = Band::FromRows(rows, m);
+  DtwScratch sized;
+  sized.EnsureWidth(m + 1);
+  for (const CostKind cost : {CostKind::kAbsolute, CostKind::kSquared}) {
+    DtwScratch fresh;
+    const double want =
+        DtwBandedDistance(x, y, band, cost, sized);
+    EXPECT_TRUE(std::isfinite(want));
+    EXPECT_EQ(want, DtwBandedDistance(x, y, band, cost, fresh));
+    DtwOptions options;
+    options.cost = cost;
+    EXPECT_EQ(want, DtwBanded(x, y, band, options).distance);
+  }
+}
+
 TEST(MaxDpRowWidthTest, MatchesBandShape) {
   EXPECT_EQ(MaxDpRowWidth(Band::Full(4, 6)), 6u);
   // An empty band still needs the origin cell.

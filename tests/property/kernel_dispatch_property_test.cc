@@ -3,10 +3,10 @@
 // portable always, avx2/avx512 when compiled in and CPU-supported — must
 // be indistinguishable from the scalar reference and from every other
 // variant in everything observable:
-//  * row level: each variant's dispatched fill entry points reproduce
-//    FillBandRowScalar bit for bit (cell values, row minimum, cell count,
-//    restored guard pads) across the same adversarial window shapes the
-//    portable kernel is pinned with;
+//  * strip level: each variant's dispatched strip fills reproduce
+//    FillBandRowScalar row by row, bit for bit (cell values, row minima,
+//    cell counts, +infinity in dead lanes), on random strips of every
+//    shape (strip_harness.h);
 //  * library level: distances, warp paths, and cells_filled through
 //    DtwOptions::kernel, and early-abandon decisions through a pinned
 //    DtwScratch, identical across variants for thresholds straddling the
@@ -21,7 +21,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <gtest/gtest.h>
 #include <limits>
 #include <vector>
@@ -29,18 +28,15 @@
 #include "data/extra_families.h"
 #include "dtw/dtw.h"
 #include "dtw/kernel_dispatch.h"
-#include "dtw/row_kernel.h"
 #include "dtw/subsequence.h"
 #include "retrieval/batch.h"
 #include "retrieval/knn.h"
+#include "strip_harness.h"
 #include "ts/random.h"
 
 namespace sdtw {
 namespace dtw {
 namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-using internal::kRowPad;
 
 ts::TimeSeries RandomWalk(std::size_t n, std::uint64_t seed) {
   ts::Rng rng(seed);
@@ -53,108 +49,18 @@ ts::TimeSeries RandomWalk(std::size_t n, std::uint64_t seed) {
   return ts::TimeSeries(std::move(v));
 }
 
-// Runs one row through the scalar reference and through a dispatched
-// variant's fill entry point, pinning every observable bit.
-void CheckRowVariant(const RowKernelOps& ops, CostKind cost,
-                     const std::vector<double>& prev_window, std::size_t plo,
-                     std::size_t phi, std::size_t clo, std::size_t chi,
-                     double xi, const ts::TimeSeries& y) {
-  const std::size_t w = chi - clo + 1;
-  const std::size_t pw = prev_window.size();
-
-  // Scalar reference on plain buffers.
-  std::vector<double> ref_cur(w, -1.0);
-  std::size_t ref_cells = 0;
-  const double ref_min =
-      cost == CostKind::kAbsolute
-          ? internal::FillBandRowScalar(prev_window.data(), plo, phi,
-                                        ref_cur.data(), clo, chi, xi,
-                                        y.values().data(), AbsCost{},
-                                        &ref_cells)
-          : internal::FillBandRowScalar(prev_window.data(), plo, phi,
-                                        ref_cur.data(), clo, chi, xi,
-                                        y.values().data(), SquaredCost{},
-                                        &ref_cells);
-
-  // Dispatched variant on padded buffers with the pad invariant
-  // established.
-  const std::size_t cap = std::max(w, pw) + 2 * kRowPad + 8;
-  std::vector<double> prev_buf(cap, kInf);
-  std::vector<double> cur_buf(cap, -7.0);  // poison: pads must be rewritten
-  std::vector<double> cost_row(cap, -7.0);
-  std::vector<unsigned char> flag_row(cap, 0xee);
-  double* prev = prev_buf.data() + kRowPad;
-  double* cur = cur_buf.data() + kRowPad;
-  std::copy(prev_window.begin(), prev_window.end(), prev);
-  std::size_t cells = 0;
-  const double row_min =
-      ops.fill(cost)(prev, plo, phi, cur, clo, chi, xi, y.values().data(),
-                     cost_row.data(), flag_row.data(), &cells);
-
-  ASSERT_EQ(ref_cells, cells) << ops.name;
-  EXPECT_EQ(ref_min, row_min) << ops.name;
-  for (std::size_t k = 0; k < w; ++k) {
-    ASSERT_EQ(ref_cur[k], cur[k])
-        << ops.name << " cell " << k << " of width " << w;
-  }
-  for (std::size_t k = 1; k <= kRowPad; ++k) {
-    ASSERT_EQ(cur[-static_cast<std::ptrdiff_t>(k)], kInf) << ops.name;
-    ASSERT_EQ(cur[w + k - 1], kInf) << ops.name;
-  }
-}
-
 TEST(KernelDispatchProperty, EveryVariantMatchesScalarOnRandomWindows) {
   const std::vector<const RowKernelOps*> variants = SupportedRowKernels();
   ASSERT_FALSE(variants.empty());
   ts::Rng rng(20260807);
-  const ts::TimeSeries y = RandomWalk(160, 7);
   for (int trial = 0; trial < 1500; ++trial) {
-    // Window widths biased toward the vector-width edge cases of both the
-    // 4-lane and the 8-lane pass (plus the scalar gates at width < 4 / 8).
-    const std::size_t w =
-        1 + static_cast<std::size_t>(
-                rng.Uniform(0.0, 1.0) * (trial % 3 == 0 ? 70 : 19));
-    const std::size_t clo =
-        1 + static_cast<std::size_t>(rng.Uniform(0.0, 1.0) * (y.size() - w));
-    const std::size_t chi = clo + w - 1;
-    const double xi = rng.Gaussian(0.0, 1.0);
-
-    std::size_t plo, phi;
-    std::vector<double> prev_window;
-    const double shape = rng.Uniform(0.0, 1.0);
-    if (shape < 0.1) {
-      plo = 1;  // empty predecessor window
-      phi = 0;
-    } else {
-      const std::size_t pwidth =
-          1 + static_cast<std::size_t>(rng.Uniform(0.0, 1.0) * (w + 8));
-      std::ptrdiff_t offset;
-      if (shape < 0.7) {
-        offset = static_cast<std::ptrdiff_t>(rng.Uniform(0.0, 1.0) * 7) - 3;
-      } else {
-        offset = static_cast<std::ptrdiff_t>(rng.Uniform(0.0, 1.0) * 60) - 30;
-      }
-      const std::ptrdiff_t plo_s = std::max<std::ptrdiff_t>(
-          0, static_cast<std::ptrdiff_t>(clo) + offset);
-      plo = static_cast<std::size_t>(plo_s);
-      phi = plo + pwidth - 1;
-      prev_window.resize(pwidth);
-      for (double& v : prev_window) {
-        v = rng.Uniform(0.0, 1.0) < 0.15 ? kInf
-                                         : std::abs(rng.Gaussian(2.0, 1.5));
-      }
-      if (rng.Uniform(0.0, 1.0) < 0.2) {
-        const std::size_t run =
-            static_cast<std::size_t>(rng.Uniform(0.0, 1.0) * pwidth);
-        std::fill(prev_window.begin(),
-                  prev_window.begin() + static_cast<std::ptrdiff_t>(run),
-                  kInf);
-      }
-    }
+    const ts::TimeSeries y =
+        RandomWalk(trial % 5 == 0 ? 1 + trial % 17 : 160, 7 + trial % 3);
+    const StripCase c = RandomStrip(rng, y.size());
     const CostKind cost =
         trial % 2 == 0 ? CostKind::kAbsolute : CostKind::kSquared;
     for (const RowKernelOps* ops : variants) {
-      CheckRowVariant(*ops, cost, prev_window, plo, phi, clo, chi, xi, y);
+      CheckStrip(*ops, cost, c, y);
       if (HasFatalFailure()) {
         ADD_FAILURE() << "trial " << trial << " variant " << ops->name;
         return;

@@ -1,32 +1,33 @@
-// Bitwise-equivalence properties of the two-pass banded row kernel
-// (dtw/row_kernel.h) against the retained scalar reference:
-//  * FillBandRowTwoPass must reproduce FillBandRowScalar bit for bit —
-//    cell values, row minimum, and cell count — across random window
-//    shapes: overlapping, disjoint, shifted past the guard pads (the
-//    scalar fallback), empty predecessor windows, rows narrower than one
-//    SIMD vector, widths straddling the 4-lane groups and the 8-byte
-//    flag-scan words, and predecessor rows containing +infinity runs
-//    (infeasible-band prefixes);
-//  * the rolling kernels built on it (DtwDistance, DtwBandedDistance, and
-//    their early-abandon variants) must reproduce an independent
-//    full-matrix DP — including the exact abandon decision for
-//    thresholds straddling the true distance;
+// Bitwise-equivalence properties of the strip-wavefront DP kernel
+// (dtw/row_kernel.h) against the retained scalar row reference:
+//  * one dispatched strip fill must reproduce FillBandRowScalar, row by
+//    row, bit for bit — cell values, row minima, and cell counts — across
+//    random strips and an edge-case catalogue: strips of 1–7 real rows
+//    (n mod 8), an empty row at each lane, windows that jump more than a
+//    strip's height, widths 1–3, m = 1, and predecessor rows containing
+//    +infinity runs (infeasible-band prefixes);
+//  * the library kernels built on it (DtwDistance, DtwBandedDistance,
+//    DtwBanded, with and without an abandon threshold) must reproduce an
+//    independent full-matrix DP — including the exact abandon decision and
+//    cell count when the abandoning row sits at each lane of a strip, and
+//    the count when a squared cost overflows to +infinity;
 //  * both cost kinds, every trial.
-// The in-TU kernel checks pin the portable two-pass kernel (this test's
-// own instantiation); the library-level checks run whatever variant the
-// runtime dispatch selected (or SDTW_KERNEL forces — see the
-// property_forced_portable_kernel ctest registration). Per-variant pins
-// across every runnable ISA live in kernel_dispatch_property_test.cc.
+// The strip checks run the variant the runtime dispatch selected (or
+// SDTW_KERNEL forces — see the property_forced_portable_kernel ctest
+// registration). Per-variant pins across every runnable ISA live in
+// kernel_dispatch_property_test.cc.
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <gtest/gtest.h>
 #include <limits>
 #include <vector>
 
+#include "dtw/band_matrix.h"
 #include "dtw/dtw.h"
+#include "dtw/kernel_dispatch.h"
 #include "dtw/row_kernel.h"
+#include "strip_harness.h"
 #include "ts/random.h"
 
 namespace sdtw {
@@ -34,7 +35,6 @@ namespace dtw {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-using internal::kRowPad;
 
 ts::TimeSeries RandomWalk(std::size_t n, std::uint64_t seed) {
   ts::Rng rng(seed);
@@ -47,105 +47,86 @@ ts::TimeSeries RandomWalk(std::size_t n, std::uint64_t seed) {
   return ts::TimeSeries(std::move(v));
 }
 
-// Runs one row through both kernels and pins every observable bit.
-template <typename Cost>
-void CheckRow(const std::vector<double>& prev_window, std::size_t plo,
-              std::size_t phi, std::size_t clo, std::size_t chi, double xi,
-              const ts::TimeSeries& y, Cost cost) {
-  const std::size_t w = chi - clo + 1;
-  const std::size_t pw = prev_window.size();
-
-  // Scalar reference on plain buffers.
-  std::vector<double> ref_cur(w, -1.0);
-  std::size_t ref_cells = 0;
-  const double ref_min = internal::FillBandRowScalar(
-      prev_window.data(), plo, phi, ref_cur.data(), clo, chi, xi,
-      y.values().data(), cost, &ref_cells);
-
-  // Two-pass kernel on padded buffers with the pad invariant established.
-  const std::size_t cap = std::max(w, pw) + 2 * kRowPad + 8;
-  std::vector<double> prev_buf(cap, kInf);
-  std::vector<double> cur_buf(cap, -7.0);  // poison: pads must be rewritten
-  std::vector<double> cost_row(cap, -7.0);
-  std::vector<unsigned char> flag_row(cap, 0xee);
-  double* prev = prev_buf.data() + kRowPad;
-  double* cur = cur_buf.data() + kRowPad;
-  std::copy(prev_window.begin(), prev_window.end(), prev);
-  std::size_t cells = 0;
-  const double row_min = internal::FillBandRowTwoPass(
-      prev, plo, phi, cur, clo, chi, xi, y.values().data(), cost,
-      cost_row.data(), flag_row.data(), &cells);
-
-  ASSERT_EQ(ref_cells, cells);
-  // Bitwise: +inf == +inf and finite == finite both via EXPECT_EQ on
-  // doubles (no tolerance anywhere).
-  EXPECT_EQ(ref_min, row_min);
-  for (std::size_t k = 0; k < w; ++k) {
-    ASSERT_EQ(ref_cur[k], cur[k]) << "cell " << k << " of width " << w;
-  }
-  // The guard pads around the filled row must have been restored.
-  for (std::size_t k = 1; k <= kRowPad; ++k) {
-    ASSERT_EQ(cur[-static_cast<std::ptrdiff_t>(k)], kInf);
-    ASSERT_EQ(cur[w + k - 1], kInf);
-  }
-}
-
-TEST(RowKernelProperty, TwoPassMatchesScalarReferenceOnRandomWindows) {
+TEST(RowKernelProperty, StripMatchesScalarReferenceOnRandomWindows) {
+  const RowKernelOps& ops = ActiveRowKernelOps();
   ts::Rng rng(20260730);
-  const ts::TimeSeries y = RandomWalk(160, 7);
-  for (int trial = 0; trial < 4000; ++trial) {
-    // Window widths biased toward the vector-width edge cases.
-    const std::size_t w =
-        1 + static_cast<std::size_t>(rng.Uniform(0.0, 1.0) * (trial % 3 == 0 ? 70 : 11));
-    const std::size_t clo =
-        1 + static_cast<std::size_t>(rng.Uniform(0.0, 1.0) * (y.size() - w));
-    const std::size_t chi = clo + w - 1;
-    const double xi = rng.Gaussian(0.0, 1.0);
-
-    std::size_t plo, phi;
-    std::vector<double> prev_window;
-    const double shape = rng.Uniform(0.0, 1.0);
-    if (shape < 0.1) {
-      // Empty predecessor window.
-      plo = 1;
-      phi = 0;
-    } else {
-      // Random predecessor window: mostly near the current one (fast
-      // path), sometimes shifted beyond the pads (scalar fallback),
-      // sometimes disjoint.
-      const std::size_t pwidth = 1 + static_cast<std::size_t>(
-                                         rng.Uniform(0.0, 1.0) * (w + 8));
-      std::ptrdiff_t offset;
-      if (shape < 0.7) {
-        offset = static_cast<std::ptrdiff_t>(rng.Uniform(0.0, 1.0) * 7) - 3;
-      } else {
-        offset = static_cast<std::ptrdiff_t>(rng.Uniform(0.0, 1.0) * 60) - 30;
-      }
-      const std::ptrdiff_t plo_s =
-          std::max<std::ptrdiff_t>(0, static_cast<std::ptrdiff_t>(clo) + offset);
-      plo = static_cast<std::size_t>(plo_s);
-      phi = plo + pwidth - 1;
-      prev_window.resize(pwidth);
-      for (double& v : prev_window) {
-        v = rng.Uniform(0.0, 1.0) < 0.15 ? kInf : std::abs(rng.Gaussian(2.0, 1.5));
-      }
-      if (rng.Uniform(0.0, 1.0) < 0.2) {
-        // Infinite prefix, as left by an infeasible band row.
-        const std::size_t run =
-            static_cast<std::size_t>(rng.Uniform(0.0, 1.0) * pwidth);
-        std::fill(prev_window.begin(),
-                  prev_window.begin() + static_cast<std::ptrdiff_t>(run),
-                  kInf);
-      }
-    }
-    if (trial % 2 == 0) {
-      CheckRow(prev_window, plo, phi, clo, chi, xi, y, AbsCost{});
-    } else {
-      CheckRow(prev_window, plo, phi, clo, chi, xi, y, SquaredCost{});
-    }
+  for (int trial = 0; trial < 3000; ++trial) {
+    // Short and long y, so windows hit both grid edges often.
+    const ts::TimeSeries y =
+        RandomWalk(trial % 4 == 0 ? 1 + trial % 13 : 160, 7 + trial % 5);
+    const StripCase c = RandomStrip(rng, y.size());
+    CheckStrip(ops, trial % 2 == 0 ? CostKind::kAbsolute : CostKind::kSquared,
+               c, y);
     if (HasFatalFailure()) {
       ADD_FAILURE() << "trial " << trial;
       return;
+    }
+  }
+}
+
+// A band-like strip of `rows` rows: row r's window [lo + r * drift,
+// lo + r * drift + width - 1], clamped to [1, m].
+StripCase BandStrip(std::size_t rows, std::size_t lo, std::size_t width,
+                    std::size_t drift, std::size_t m, ts::Rng& rng) {
+  StripCase c;
+  c.rows = rows;
+  for (std::size_t r = 0; r < rows; ++r) {
+    c.x[r] = rng.Gaussian(0.0, 1.0);
+    c.lo[r] = std::min(m, lo + r * drift);
+    c.hi[r] = std::min(m, c.lo[r] + width - 1);
+  }
+  c.plo = lo > 1 ? lo - 1 : 0;
+  c.phi = std::min(m, c.plo + width);
+  c.prev.resize(c.phi - c.plo + 1);
+  for (double& v : c.prev) v = std::abs(rng.Gaussian(1.0, 1.0));
+  return c;
+}
+
+TEST(RowKernelProperty, StripEdgeCasesMatchScalarReference) {
+  const RowKernelOps& ops = ActiveRowKernelOps();
+  ts::Rng rng(4242);
+  const ts::TimeSeries y = RandomWalk(64, 11);
+  const ts::TimeSeries y1 = RandomWalk(1, 12);
+  for (const CostKind cost : {CostKind::kAbsolute, CostKind::kSquared}) {
+    // Strips of 1..8 real rows (the final strip of an n-row DP holds
+    // n mod 8 of them), on band windows and on the full grid.
+    for (std::size_t rows = 1; rows <= kStripRows; ++rows) {
+      CheckStrip(ops, cost, BandStrip(rows, 5, 9, 1, y.size(), rng), y);
+      CheckStrip(ops, cost, BandStrip(rows, 1, y.size(), 0, y.size(), rng),
+                 y);
+      ASSERT_FALSE(HasFatalFailure()) << "rows " << rows;
+    }
+    // An empty row at each lane: every later row of the strip is +inf.
+    for (std::size_t lane = 0; lane < kStripRows; ++lane) {
+      StripCase c = BandStrip(kStripRows, 10, 12, 1, y.size(), rng);
+      c.hi[lane] = c.lo[lane] - 1;
+      CheckStrip(ops, cost, c, y);
+      ASSERT_FALSE(HasFatalFailure()) << "empty lane " << lane;
+    }
+    // Windows that jump more than a strip's height between rows, both
+    // ways, and rows narrower than the lanes.
+    for (const std::size_t drift : {9, 17, 30}) {
+      CheckStrip(ops, cost,
+                 BandStrip(kStripRows, 1, 3, drift, y.size(), rng), y);
+      StripCase c = BandStrip(kStripRows, 2, 6, 0, y.size(), rng);
+      for (std::size_t r = 1; r < kStripRows; r += 2) {
+        c.lo[r] = std::min(y.size(), c.lo[r] + drift);
+        c.hi[r] = std::min(y.size(), c.hi[r] + drift);
+      }
+      CheckStrip(ops, cost, c, y);
+      ASSERT_FALSE(HasFatalFailure()) << "drift " << drift;
+    }
+    for (std::size_t width = 1; width <= 3; ++width) {
+      for (std::size_t drift = 0; drift <= 2; ++drift) {
+        CheckStrip(ops, cost,
+                   BandStrip(kStripRows, 3, width, drift, y.size(), rng), y);
+        ASSERT_FALSE(HasFatalFailure()) << "width " << width;
+      }
+    }
+    // m = 1: every row is the single column 1.
+    for (std::size_t rows = 1; rows <= kStripRows; ++rows) {
+      CheckStrip(ops, cost, BandStrip(rows, 1, 1, 0, 1, rng), y1);
+      ASSERT_FALSE(HasFatalFailure()) << "m = 1, rows " << rows;
     }
   }
 }
@@ -273,6 +254,106 @@ TEST(RowKernelProperty, EarlyAbandonDecisionMatchesReferenceExactly) {
         EXPECT_TRUE(std::isinf(got_full)) << "trial " << trial;
       }
     }
+  }
+}
+
+// The row-at-a-time loop over FillBandRowScalar: each DP row's minimum
+// and the cells filled through it, the semantics the strip driver must
+// reproduce exactly.
+struct RowTrace {
+  std::vector<double> row_min;
+  std::vector<std::size_t> cells_through;
+};
+
+RowTrace ReferenceRows(const ts::TimeSeries& x, const ts::TimeSeries& y,
+                       const Band& band, CostKind cost) {
+  RowTrace trace;
+  std::vector<double> prev = {0.0};
+  std::size_t plo = 0;
+  std::size_t phi = 0;
+  std::size_t cells = 0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const auto [lo, hi] = DpWindow(band.row(i), y.size());
+    std::vector<double> cur(lo <= hi ? hi - lo + 1 : 0);
+    const double row_min =
+        cost == CostKind::kAbsolute
+            ? internal::FillBandRowScalar(prev.data(), plo, phi, cur.data(),
+                                          lo, hi, x[i], y.values().data(),
+                                          AbsCost{}, &cells)
+            : internal::FillBandRowScalar(prev.data(), plo, phi, cur.data(),
+                                          lo, hi, x[i], y.values().data(),
+                                          SquaredCost{}, &cells);
+    trace.row_min.push_back(row_min);
+    trace.cells_through.push_back(cells);
+    prev = std::move(cur);
+    plo = lo;
+    phi = hi;
+  }
+  return trace;
+}
+
+TEST(RowKernelProperty, AbandonAtEveryLaneMatchesRowAtATime) {
+  ts::Rng rng(8080);
+  for (const std::size_t n : {1, 7, 8, 9, 13, 16, 21, 24, 31}) {
+    const std::size_t m =
+        5 + static_cast<std::size_t>(rng.Uniform(0.0, 1.0) * 30);
+    const ts::TimeSeries x = RandomWalk(n, 400 + n);
+    const ts::TimeSeries y = RandomWalk(m, 500 + n);
+    for (const CostKind cost : {CostKind::kAbsolute, CostKind::kSquared}) {
+      for (const Band& band :
+           {Band::Full(n, m), SakoeChibaBand(n, m, 0.3)}) {
+        const RowTrace trace = ReferenceRows(x, y, band, cost);
+        for (std::size_t i = 0; i < n; ++i) {
+          // Row minima never decrease (costs are non-negative), so a
+          // threshold in [min of row i-1, min of row i) abandons at row i
+          // — at lane i mod 8 of its strip.
+          const double threshold = i == 0 ? -1.0 : trace.row_min[i - 1];
+          if (!(trace.row_min[i] > threshold)) continue;
+          for (const RowKernelOps* ops : SupportedRowKernels()) {
+            DtwOptions options;
+            options.cost = cost;
+            options.kernel = ops;
+            for (const bool want_path : {false, true}) {
+              options.want_path = want_path;
+              const DtwResult got = DtwBanded(x, y, band, options, threshold);
+              EXPECT_TRUE(std::isinf(got.distance))
+                  << ops->name << " n " << n << " row " << i;
+              EXPECT_EQ(trace.cells_through[i], got.cells_filled)
+                  << ops->name << " n " << n << " row " << i
+                  << (want_path ? " path" : "");
+            }
+            DtwScratch scratch;
+            scratch.set_kernel(ops);
+            EXPECT_TRUE(std::isinf(
+                DtwBandedDistance(x, y, band, cost, scratch, threshold)));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(RowKernelProperty, CellCountExactWhenSquaredCostOverflows) {
+  // Δ(1e200, 0) = 1e400 overflows to +inf: DP row 6's cells all have a
+  // finite predecessor, so they are counted although their values are
+  // +inf, and no later cell has one. 5 rows of 16, plus 16.
+  std::vector<double> xv(16, 0.0);
+  xv[5] = 1e200;
+  const ts::TimeSeries x(std::move(xv));
+  const ts::TimeSeries y(std::vector<double>(16, 0.0));
+  const Band full = Band::Full(16, 16);
+  std::size_t ref_cells = 0;
+  EXPECT_TRUE(std::isinf(
+      ReferenceBandedDistance(x, y, full, CostKind::kSquared, &ref_cells)));
+  EXPECT_EQ(96u, ref_cells);
+  for (const RowKernelOps* ops : SupportedRowKernels()) {
+    DtwOptions options;
+    options.cost = CostKind::kSquared;
+    options.want_path = false;
+    options.kernel = ops;
+    const DtwResult got = DtwBanded(x, y, full, options);
+    EXPECT_TRUE(std::isinf(got.distance)) << ops->name;
+    EXPECT_EQ(ref_cells, got.cells_filled) << ops->name;
   }
 }
 
