@@ -168,6 +168,57 @@ void BM_DtwBandedNarrowDistanceScalarRef(benchmark::State& state) {
 }
 BENCHMARK(BM_DtwBandedNarrowDistanceScalarRef)->Arg(1024)->Arg(4096);
 
+// Early-abandoning DPs, the cascade's hot path: the full grid and the
+// narrow band above, each given a threshold of the pair's exact distance
+// times Arg 1 / 100 — at 100 the DP completes and prunes every cell above
+// the distance, at 50 it abandons. Items are the window cells of the
+// threshold-free DP, so cells/s compares with the rows above; `evaluated`
+// is the share of them the pruned DP stepped through.
+void BM_DtwFullAbandon(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const ts::TimeSeries x = MakeSeries(n, 1);
+  const ts::TimeSeries y = MakeSeries(n, 2);
+  const double threshold =
+      dtw::DtwDistance(x, y) * static_cast<double>(state.range(1)) / 100.0;
+  dtw::DtwScratch scratch;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dtw::DtwDistance(
+        x, y, dtw::CostKind::kAbsolute, scratch, threshold));
+  }
+  state.counters["evaluated"] = static_cast<double>(scratch.dp_cells()) /
+                                static_cast<double>(n * n);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n * n));
+}
+BENCHMARK(BM_DtwFullAbandon)
+    ->Args({128, 100})
+    ->Args({128, 50})
+    ->Args({256, 100})
+    ->Args({256, 50});
+
+void BM_DtwBandedNarrowAbandon(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const ts::TimeSeries x = MakeSeries(n, 1);
+  const ts::TimeSeries y = MakeSeries(n, 2);
+  const dtw::Band band = FixedWidthDiagonalBand(n, n, 16);
+  const double threshold = dtw::DtwBandedDistance(x, y, band) *
+                           static_cast<double>(state.range(1)) / 100.0;
+  dtw::DtwScratch scratch;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dtw::DtwBandedDistance(
+        x, y, band, dtw::CostKind::kAbsolute, scratch, threshold));
+  }
+  state.counters["evaluated"] = static_cast<double>(scratch.dp_cells()) /
+                                static_cast<double>(band.CellCount());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(band.CellCount()));
+}
+BENCHMARK(BM_DtwBandedNarrowAbandon)
+    ->Args({128, 100})
+    ->Args({128, 50})
+    ->Args({256, 100})
+    ->Args({256, 50});
+
 // Path-preserving banded DP on the same narrow bands: storage is
 // Σ band-row widths (~33 n doubles), so n = 16384 stays in the ~4 MB
 // range instead of the 2 GB a full (n+1)^2 matrix would need.

@@ -69,6 +69,19 @@ struct DpRowView {
   std::size_t hi;
 };
 
+// The live span of `row`: its first through its last cell at or below
+// `threshold`, empty when it has none. Cells outside the span are dead,
+// so staging them as +infinity changes no live cell.
+DpRowView LiveSpan(DpRowView row, double threshold) {
+  if (row.lo > row.hi) return row;
+  std::size_t a = 0;
+  std::size_t b = row.hi - row.lo;
+  while (a <= b && !(row.cells[a] <= threshold)) ++a;
+  if (a > b) return DpRowView{nullptr, 1, 0};
+  while (!(row.cells[b] <= threshold)) --b;
+  return DpRowView{row.cells + a, row.lo + a, row.lo + b};
+}
+
 // Stages strip.pred: the predecessor row at columns t0 - 1 .. t0 - 1 +
 // steps, +infinity outside its window.
 void StagePredecessor(const DpRowView& prev, std::size_t t0,
@@ -85,22 +98,6 @@ void StagePredecessor(const DpRowView& prev, std::size_t t0,
   std::fill(out, pred + steps + 1, kInf);
 }
 
-// Stages strip.y: the steps + kStripRows - 1 values of y from index
-// t0 - kStripRows on, 0 outside y.
-void StageY(const double* y, std::size_t m, std::size_t t0,
-            std::size_t steps, double* out) {
-  const std::size_t count = steps + kStripRows - 1;
-  // Index q holds y[t0 - kStripRows + q]: in range for q in [head, end).
-  const std::size_t head = t0 < kStripRows ? kStripRows - t0 : 0;
-  const std::size_t end = std::min(count, m + kStripRows - t0);
-  std::fill_n(out, std::min(head, count), 0.0);
-  if (head < end) {
-    std::copy(y + (t0 + head - kStripRows), y + (t0 + end - kStripRows),
-              out + head);
-  }
-  std::fill(out + std::max(head, end), out + count, 0.0);
-}
-
 // The lane of strip row r (DpStrip: lane 0 holds the strip's last row).
 constexpr std::size_t LaneOf(std::size_t r) { return kStripRows - 1 - r; }
 
@@ -114,16 +111,25 @@ struct NoRows {
 // filled by one call of `fill`, a strip fill of a dispatched kernel variant
 // (dtw/kernel_dispatch.h) with the cost baked in. `window(r)` is the
 // inclusive DP column window of DP row r + 1 (empty when lo > hi); `prev`
-// is DP row 0. When `dest(i)` returns non-null, DP row i's window is copied
-// there (the path-preserving kernels keep every row this way).
+// is DP row 0. When `dest(i)` returns non-null, the cells of DP row i the
+// strip computed are copied into its window there (the path-preserving
+// kernels keep every row this way; their storage starts all +infinity).
 //
 // After each strip the driver visits its rows in order, exactly like the
-// row-at-a-time loop: it adds each row's cells (finite predecessors only,
-// the paper's work measure; counting is skipped entirely when
-// `cells_filled` is null), and a finite `abandon_above` returns +inf at the
-// first row whose minimum exceeds it — or when the final distance does. A
+// row-at-a-time loop: it adds each row's cells (live best predecessor
+// only, see row_kernel.h; counting is skipped entirely when `cells_filled`
+// is null), and a finite `abandon_above` returns +inf at the first row
+// whose minimum exceeds it — or when the final distance does. A
 // non-finite one never abandons. This is the one abandon path of every
 // kernel.
+//
+// A finite `abandon_above` also prunes (row_kernel.h): each strip starts at
+// the predecessor row's first live column, is staged with only that row's
+// live span, and may stop once nothing it could still compute is live.
+// Cells a fill did not reach are read as +infinity: the final distance,
+// the next strip's predecessor and the copies into `dest` take only the
+// steps it ran. scratch.dp_cells() receives the window cells the fills
+// stepped through.
 template <typename WindowFn, typename RowDest>
 double StripWavefront(const ts::TimeSeries& x, const ts::TimeSeries& y,
                       WindowFn window, DpRowView prev, double abandon_above,
@@ -133,25 +139,44 @@ double StripWavefront(const ts::TimeSeries& x, const ts::TimeSeries& y,
   const std::size_t n = x.size();
   const std::size_t m = y.size();
   std::size_t cells = 0;
-  const auto finish = [&cells, cells_filled](double d) {
+  std::size_t evaluated = 0;
+  const auto finish = [&](double d) {
     if (cells_filled != nullptr) *cells_filled = cells;
+    scratch.set_dp_cells(evaluated);
     return d;
   };
+  const double* padded_y = scratch.StagePaddedY(y);
   DpStrip strip;
   strip.count = cells_filled != nullptr;
+  if (abandon) {
+    strip.threshold = abandon_above;
+    prev = LiveSpan(prev, abandon_above);
+  }
+  // The cells of lane l's row that the fill stepped through.
+  const auto ran_cells = [&strip](std::size_t l) {
+    return strip.ran > strip.begin[l]
+               ? std::min(strip.width[l], strip.ran - strip.begin[l])
+               : 0;
+  };
   // After the first strip, prev is a window of the scratch's last row.
   bool prev_in_last = false;
   std::size_t prev_offset = 0;
   for (std::size_t i0 = 0; i0 < n; i0 += kStripRows) {
+    // No live predecessor: the next row's minimum exceeds the threshold.
+    if (abandon && prev.lo > prev.hi) return finish(kInf);
     const std::size_t rows = std::min(kStripRows, n - i0);
     std::size_t lo[kStripRows];
     std::size_t hi[kStripRows];
+    std::size_t skip[kStripRows];  // window columns left of the live edge
     std::size_t t0 = std::numeric_limits<std::size_t>::max();
     std::size_t t1 = 0;
     for (std::size_t r = 0; r < kStripRows; ++r) {
       lo[r] = 1;
       hi[r] = 0;
       if (r < rows) std::tie(lo[r], hi[r]) = window(i0 + r);
+      // First live columns never decrease down the grid.
+      skip[r] = abandon && prev.lo > lo[r] ? prev.lo - lo[r] : 0;
+      lo[r] += skip[r];
       if (lo[r] <= hi[r]) {
         t0 = std::min(t0, lo[r] + r);
         t1 = std::max(t1, hi[r] + r);
@@ -166,7 +191,6 @@ double StripWavefront(const ts::TimeSeries& x, const ts::TimeSeries& y,
     scratch.EnsureSteps(steps);
     if (prev_in_last) prev.cells = scratch.strip_last() + prev_offset;
     StagePredecessor(prev, t0, steps, scratch.strip_pred());
-    StageY(y.values().data(), m, t0, steps, scratch.strip_y());
     for (std::size_t r = 0; r < kStripRows; ++r) {
       const std::size_t l = LaneOf(r);
       const bool live = lo[r] <= hi[r];
@@ -175,19 +199,25 @@ double StripWavefront(const ts::TimeSeries& x, const ts::TimeSeries& y,
       strip.width[l] = live ? hi[r] - lo[r] + 1 : 0;
     }
     strip.steps = steps;
+    // pred[q] is column t0 - 1 + q: every one past prev.hi is dead.
+    strip.min_steps = !abandon         ? steps
+                      : prev.hi < t0 ? 0
+                                     : std::min(steps, prev.hi + 1 - t0);
     strip.pred = scratch.strip_pred();
-    strip.y = scratch.strip_y();
+    strip.y = padded_y + t0;  // y index t0 - kStripRows on
     strip.wave = scratch.strip_wave();
     strip.last = scratch.strip_last();
     fill(strip);
 
+    for (std::size_t r = 0; r < rows; ++r) evaluated += ran_cells(LaneOf(r));
     for (std::size_t r = 0; r < rows; ++r) {
       const std::size_t l = LaneOf(r);
       cells += strip.cells[l];
       double* out = dest(i0 + r + 1);
       if (out != nullptr && lo[r] <= hi[r]) {
         const double* src = strip.wave + strip.begin[l] * kStripRows + l;
-        for (std::size_t j = 0; j < strip.width[l]; ++j) {
+        out += skip[r];
+        for (std::size_t j = 0, e = ran_cells(l); j < e; ++j) {
           out[j] = src[j * kStripRows];
         }
       }
@@ -196,20 +226,23 @@ double StripWavefront(const ts::TimeSeries& x, const ts::TimeSeries& y,
     if (i0 + rows == n) {
       // The final strip: DP row n is row rows - 1.
       const std::size_t r = rows - 1;
-      const double d =
-          lo[r] <= m && m <= hi[r]
-              ? strip.wave[(m + r - t0) * kStripRows + LaneOf(r)]
-              : kInf;
+      const double d = lo[r] <= m && m <= hi[r] && m + r - t0 < strip.ran
+                           ? strip.wave[(m + r - t0) * kStripRows + LaneOf(r)]
+                           : kInf;
       if (abandon) return finish(d <= abandon_above ? d : kInf);
       return finish(d);
     }
-    // The next strip's predecessor is this strip's last row, lane 0.
+    // The next strip's predecessor is this strip's last row, lane 0, over
+    // the columns the fill reached.
     constexpr std::size_t kLast = kStripRows - 1;
-    prev_in_last = lo[kLast] <= hi[kLast];
-    prev_offset = strip.begin[0];
-    prev = prev_in_last
-               ? DpRowView{strip.last + prev_offset, lo[kLast], hi[kLast]}
-               : DpRowView{nullptr, 1, 0};
+    const std::size_t reached = ran_cells(0);
+    prev = reached > 0 ? DpRowView{strip.last + strip.begin[0], lo[kLast],
+                                   lo[kLast] + reached - 1}
+                       : DpRowView{nullptr, 1, 0};
+    if (abandon) prev = LiveSpan(prev, abandon_above);
+    prev_in_last = prev.lo <= prev.hi;
+    prev_offset =
+        prev_in_last ? static_cast<std::size_t>(prev.cells - strip.last) : 0;
   }
   return finish(kInf);  // n == 0
 }
@@ -334,6 +367,20 @@ void DtwScratch::EnsureWidth(std::size_t width) {
   width_ = std::max(width_, width);
   // A strip over an m-column grid spans at most m + kStripRows - 1 steps.
   EnsureSteps(width + kStripRows - 1);
+  padded_y_.resize(std::max(padded_y_.size(), width + 2 * kStripRows));
+}
+
+const double* DtwScratch::StagePaddedY(const ts::TimeSeries& y) {
+  const std::size_t m = y.size();
+  padded_y_.resize(std::max(padded_y_.size(), m + 2 * kStripRows));
+  // Strips read y indices 1 - kStripRows through m + kStripRows - 3
+  // (t0 >= 1, t1 <= m + kStripRows - 1); the zeros outside y only ever
+  // reach dead lanes.
+  std::fill_n(padded_y_.begin(), kStripRows, 0.0);
+  const auto end = std::copy(y.values().begin(), y.values().end(),
+                             padded_y_.begin() + kStripRows);
+  std::fill_n(end, kStripRows, 0.0);
+  return padded_y_.data();
 }
 
 void DtwScratch::GrowSteps(std::size_t steps) {
@@ -348,18 +395,15 @@ void DtwScratch::GrowSteps(std::size_t steps) {
     return (cells + 7) & ~std::size_t{7};
   };
   const std::size_t pred_cells = round8(steps_ + 1);
-  const std::size_t y_cells = round8(steps_ + kStripRows - 1);
   const std::size_t last_cells = round8(steps_);
-  cells_.assign(pred_cells + y_cells + last_cells + kStripRows * steps_ + 8,
-                kInf);
+  cells_.assign(pred_cells + last_cells + kStripRows * steps_ + 8, kInf);
   // Alignment probe: std::bit_cast is the defined-behaviour C++20 way to
   // read a pointer's address representation; uintptr_t is pointer-sized
   // on every supported target.
   const std::size_t misalign =
       std::bit_cast<std::uintptr_t>(cells_.data()) % 64;
   pred_off_ = misalign != 0 ? (64 - misalign) / sizeof(double) : 0;
-  y_off_ = pred_off_ + pred_cells;
-  last_off_ = y_off_ + y_cells;
+  last_off_ = pred_off_ + pred_cells;
   wave_off_ = last_off_ + last_cells;
   // The last row is the next strip's predecessor: keep it.
   if (!old.empty()) {

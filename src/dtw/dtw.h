@@ -28,9 +28,12 @@
 ///
 /// Best-so-far early abandoning is one trailing argument, `abandon_above`,
 /// of DtwBanded and the scratch-buffer distance kernels: a finite value
-/// makes the DP return +infinity as soon as every filled cell of a row (or
-/// the final distance) exceeds it; kNoAbandon — or any other non-finite
-/// value — never abandons, so the result is bitwise the plain DP's.
+/// makes the DP return +infinity as soon as every cell of a row (or the
+/// final distance) exceeds it, and prunes as it goes — no cell above it
+/// is computed past what a strip needs (dtw/row_kernel.h). Distances,
+/// paths and abandon decisions are bitwise the unpruned DP's. kNoAbandon
+/// — or any other non-finite value — never abandons or prunes, so the
+/// result is bitwise the plain DP's, cell counts included.
 
 #include <cstddef>
 #include <limits>
@@ -56,8 +59,12 @@ struct DtwResult {
   /// Optimal warp path from (0,0) to (N-1,M-1); empty when not requested or
   /// when no path exists.
   std::vector<PathPoint> path;
-  /// Number of grid cells actually filled by the DP (the paper's measure of
-  /// work saved by pruning).
+  /// Number of grid cells the DP had to evaluate (the paper's measure of
+  /// work saved by pruning): the cells with a finite best predecessor,
+  /// through the abandoning row when the DP abandons. Under a finite
+  /// `abandon_above` t, only cells whose best predecessor is <= t count —
+  /// the cells any exact DP pruned at t must evaluate, whatever its
+  /// geometry (dtw/row_kernel.h).
   std::size_t cells_filled = 0;
   /// Number of *logical DP cells* allocated — (N+1)*(M+1) for the
   /// path-preserving full kernel, Σ band-row widths (+1 origin) for the
@@ -83,12 +90,12 @@ struct DtwOptions {
 /// \brief Reusable storage for the strip DP kernels.
 ///
 /// Every DP runs as strips of kStripRows rows (see dtw/row_kernel.h). Each
-/// strip stages the predecessor row and the y segment over the strip's
-/// column span, and the dispatched fill writes the step-major wave
-/// (kStripRows cells per wavefront step) plus the strip's last row, which
-/// the next strip stages as its predecessor. The storage is O(strip
-/// span), never O(n·m). Reused scratches need no clearing: every strip
-/// re-stages every cell it reads.
+/// strip stages the predecessor row over the strip's column span and reads
+/// y from a padded copy staged once per DP; the dispatched fill writes the
+/// step-major wave (kStripRows cells per wavefront step) plus the strip's
+/// last row, which the next strip stages as its predecessor. The storage
+/// is O(strip span + m), never O(n·m). Reused scratches need no clearing:
+/// every DP re-stages every cell it reads.
 ///
 /// Retrieval loops that compare one query against thousands of candidates
 /// keep one DtwScratch per worker, sized once to the widest requirement
@@ -115,6 +122,13 @@ class DtwScratch {
     return kernel_ != nullptr ? *kernel_ : ActiveRowKernelOps();
   }
 
+  /// Window cells the last DP run on this scratch evaluated: each row's
+  /// window, clipped to the steps its strip ran (n·m for a threshold-free
+  /// full grid). The same on every kernel variant. Written by the DP
+  /// driver through set_dp_cells.
+  std::size_t dp_cells() const { return dp_cells_; }
+  void set_dp_cells(std::size_t cells) { dp_cells_ = cells; }
+
   /// Grows the strip buffers to hold a strip of `steps` wavefront steps
   /// (never shrinks). Growth keeps the last row's contents, which the next
   /// strip reads as its predecessor.
@@ -124,27 +138,31 @@ class DtwScratch {
 
   /// \name Strip buffers
   /// Sized by EnsureSteps(steps): the predecessor row (steps + 1 cells),
-  /// the y segment (steps + kStripRows - 1), the last row (steps) and the
-  /// wave (kStripRows * steps), each 64-byte aligned. Valid until the next
-  /// growth. Addressed as offsets into the owned buffer, so copied or
-  /// moved scratches stay self-contained.
+  /// the last row (steps) and the wave (kStripRows * steps), each 64-byte
+  /// aligned. Valid until the next growth. Addressed as offsets into the
+  /// owned buffer, so copied or moved scratches stay self-contained.
   /// @{
   double* strip_pred() { return cells_.data() + pred_off_; }
-  double* strip_y() { return cells_.data() + y_off_; }
   double* strip_last() { return cells_.data() + last_off_; }
   double* strip_wave() { return cells_.data() + wave_off_; }
   /// @}
+
+  /// Stages y once per DP, with kStripRows zeros on each side, and returns
+  /// the padded copy: every strip's y segment (DpStrip::y) is a view into
+  /// it, at offset t0 for a strip that starts at column t0.
+  const double* StagePaddedY(const ts::TimeSeries& y);
 
  private:
   void GrowSteps(std::size_t steps);
 
   std::vector<double> cells_;  ///< Backing store of the strip buffers.
+  std::vector<double> padded_y_;  ///< StagePaddedY's copy of y.
   std::size_t pred_off_ = 0;
-  std::size_t y_off_ = 0;
   std::size_t last_off_ = 0;
   std::size_t wave_off_ = 0;
   std::size_t steps_ = 0;  ///< Strip steps the buffers hold.
   std::size_t width_ = 0;
+  std::size_t dp_cells_ = 0;
   const RowKernelOps* kernel_ = nullptr;  ///< Pinned variant; never owned.
 };
 
@@ -164,11 +182,11 @@ DtwResult Dtw(const ts::TimeSeries& x, const ts::TimeSeries& y,
 /// requested, the strip buffers otherwise.
 ///
 /// With a finite `abandon_above` (a retrieval loop's best-so-far), the DP
-/// stops as soon as every filled cell of a band row — or the final
-/// distance — exceeds it, and returns distance = +infinity with an empty
-/// path and the cells filled so far. Otherwise the result is identical to
-/// the non-abandoning call, so loops that want alignments prune as
-/// aggressively as distance-only ones.
+/// prunes every cell above it and stops as soon as every cell of a band
+/// row — or the final distance — exceeds it, returning distance =
+/// +infinity with an empty path and the cells filled so far. Otherwise the
+/// distance and path are identical to the non-abandoning call, so loops
+/// that want alignments prune as aggressively as distance-only ones.
 DtwResult DtwBanded(const ts::TimeSeries& x, const ts::TimeSeries& y,
                     const Band& band, const DtwOptions& options = {},
                     double abandon_above = kNoAbandon);
@@ -189,10 +207,11 @@ double DtwBandedDistance(const ts::TimeSeries& x, const ts::TimeSeries& y,
 /// but the strip buffers live in the caller-provided DtwScratch, which is
 /// grown on demand and reused across calls. These are the hot-loop entry
 /// points of the batched retrieval engine. A finite `abandon_above` (the
-/// caller's best-so-far) returns +infinity as soon as every cell of a DP
-/// row — or the final distance — exceeds it; combined with a band, this
-/// composes sDTW's band pruning with the best-so-far pruning of retrieval
-/// loops.
+/// caller's best-so-far) prunes every cell above it and returns +infinity
+/// as soon as every cell of a DP row — or the final distance — exceeds
+/// it; combined with a band, this composes sDTW's band pruning with the
+/// best-so-far pruning of retrieval loops. scratch.dp_cells() then holds
+/// the window cells the DP stepped through.
 /// @{
 double DtwDistance(const ts::TimeSeries& x, const ts::TimeSeries& y,
                    CostKind cost, DtwScratch& scratch,

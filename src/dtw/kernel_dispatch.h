@@ -26,11 +26,13 @@
 /// included, without the abort so tests can pin the failure modes.
 ///
 /// Every variant obeys the row_kernel.h contract: cell values, row minima,
-/// abandon decisions, and cell counts bit-identical to the scalar row
-/// reference. The property suite pins this for each variant the host can
-/// run, so callers may treat the active kernel as a pure speed choice.
+/// abandon decisions, cell counts and the step a pruned fill stops at
+/// bit-identical to the scalar row reference. The property suite pins this
+/// for each variant the host can run, so callers may treat the active
+/// kernel as a pure speed choice.
 
 #include <cstddef>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -54,7 +56,8 @@ enum class KernelVariant {
 inline constexpr std::size_t kStripRows = 8;
 
 /// \brief One strip of up to kStripRows consecutive DP rows, staged for a
-/// dispatched fill (the recurrence is documented in dtw/row_kernel.h).
+/// dispatched fill (the recurrence and the pruning rule are documented in
+/// dtw/row_kernel.h).
 ///
 /// The strip's rows are DP rows i0 + 1 .. i0 + kStripRows; lane l holds
 /// DP row i0 + kStripRows - l, so lane 0 is the strip's last row and lane
@@ -63,6 +66,11 @@ inline constexpr std::size_t kStripRows = 8;
 /// per row, so the kStripRows cells of one step do not depend on each
 /// other and a fill evaluates a whole step as one vector. Every array
 /// below is indexed by lane.
+///
+/// A fill may stop early, once every cell it could still compute is dead
+/// (above `threshold`). It then reports the steps it ran in `ran`; the
+/// wave and `last` past that step hold stale values of an earlier strip,
+/// which readers must treat as +infinity.
 struct DpStrip {
   std::size_t steps = 0;           ///< Wavefront steps of the strip.
   double x[kStripRows] = {};       ///< x value of each lane's row.
@@ -80,21 +88,40 @@ struct DpStrip {
   /// value (only dead lanes read them).
   const double* y = nullptr;
   /// Output, steps * kStripRows cells, step-major: wave[kStripRows * k + l]
-  /// is lane l's value at step k, +infinity where the lane is dead.
+  /// is lane l's value at step k, +infinity where the lane is dead. Only
+  /// steps [0, ran) are written.
   double* wave = nullptr;
   /// Output, steps cells: last[k] is lane 0 at step k, the strip's last
   /// row at column t0 + k - (kStripRows - 1) — the wave's lane 0 again,
-  /// stored contiguously as the next strip's predecessor row.
+  /// stored contiguously as the next strip's predecessor row. Only steps
+  /// [0, ran) are written.
   double* last = nullptr;
   bool count = false;  ///< Whether the fill must write `cells`.
-  double row_min[kStripRows] = {};  ///< Output: minimum of each row.
-  /// Output when `count`: cells of each row with a finite predecessor.
+  /// A cell above it is dead. A DP's finite abandon threshold; without
+  /// one, the largest finite double, so that exactly the +infinity cells
+  /// are dead.
+  double threshold = std::numeric_limits<double>::max();
+  /// The fill runs at least min(min_steps, steps) steps. Before any later
+  /// step k it stops once both vectors that feed step k — the previous
+  /// step's values and the carried diag — are dead in every lane. The
+  /// stager guarantees that every pred cell after pred[min_steps] is dead,
+  /// so nothing the fill could still compute is live. At `steps` or more
+  /// (the default), the fill never stops early.
+  std::size_t min_steps = std::numeric_limits<std::size_t>::max();
+  /// Output: the steps the fill ran, in [min(min_steps, steps), steps].
+  std::size_t ran = 0;
+  /// Output: minimum of each row over the steps the fill ran (+infinity
+  /// for a row with none). Exact whenever the row's full minimum is live.
+  double row_min[kStripRows] = {};
+  /// Output when `count`: cells of each row whose best predecessor is
+  /// live (at most `threshold`).
   std::size_t cells[kStripRows] = {};
 };
 
 /// Signature of a dispatched strip fill: the strip recurrence with the
 /// cost functor baked in. Reads the staged inputs of `strip` and writes
-/// its wave, row minima and (when requested) cell counts.
+/// its wave, the steps it ran, row minima and (when requested) cell
+/// counts.
 using StripFillFn = void (*)(DpStrip& strip);
 
 /// \brief One row-kernel variant: identity plus its strip-fill entry points.

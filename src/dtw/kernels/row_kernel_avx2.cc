@@ -12,7 +12,9 @@
 /// blend that moves the high half's lane 0 into the low half and the
 /// predecessor cell into the top lane. Dead lanes add +infinity (a blend of the
 /// cost vector, off the min/add chain). The live mask is one signed
-/// 64-bit compare on sign-flipped operands, which AVX2 lacks unsigned.
+/// 64-bit compare on sign-flipped operands, which AVX2 lacks unsigned. The
+/// pruning exit folds the two halves of min(diag, v) into one compare and
+/// one movemask test.
 
 #if !defined(__AVX2__)
 #error "row_kernel_avx2.cc must be compiled with -mavx2"
@@ -54,15 +56,17 @@ inline void StoreLanes(std::size_t* p, __m256i v) {
   _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
 }
 
-template <typename Cost, bool kCount>
+template <typename Cost, bool kCount, bool kPrune>
 void FillStrip(DpStrip& s) {
   // Locals, not struct reads: stores to the wave may alias the strip.
   const std::size_t steps = s.steps;
+  const std::size_t min_steps = s.min_steps;
   const double* pred = s.pred;
   const double* y = s.y;
   double* wave = s.wave;
   double* last = s.last;
   const __m256d inf = _mm256_set1_pd(kRowInf);
+  const __m256d threshold = _mm256_set1_pd(s.threshold);
   const __m256d x_lo = _mm256_loadu_pd(s.x);
   const __m256d x_hi = _mm256_loadu_pd(s.x + 4);
   // Lane r is live iff k - begin[r] < width[r], unsigned. Flipping the
@@ -85,7 +89,17 @@ void FillStrip(DpStrip& s) {
   __m256d min_hi = inf;
   __m256i cells_lo = _mm256_setzero_si256();
   __m256i cells_hi = _mm256_setzero_si256();
-  for (std::size_t k = 0; k < steps; ++k) {
+  std::size_t k = 0;
+  for (; k < steps; ++k) {
+    // v and diag feed this step and, with pred past the live span, every
+    // later one: once all are dead, the rest of the strip is dead too.
+    const __m256d a_lo = _mm256_min_pd(diag_lo, v_lo);
+    const __m256d a_hi = _mm256_min_pd(diag_hi, v_hi);
+    if (kPrune && k >= min_steps &&
+        _mm256_movemask_pd(_mm256_cmp_pd(_mm256_min_pd(a_lo, a_hi),
+                                         threshold, _CMP_LE_OQ)) == 0) {
+      break;
+    }
     const __m256i live_lo = _mm256_cmpgt_epi64(width_lo, rel_lo);
     const __m256i live_hi = _mm256_cmpgt_epi64(width_hi, rel_hi);
     rel_lo = _mm256_add_epi64(rel_lo, one);
@@ -106,10 +120,8 @@ void FillStrip(DpStrip& s) {
     const __m256d up_lo = _mm256_blend_pd(rot_lo, rot_hi, 8);
     const __m256d up_hi =
         _mm256_blend_pd(rot_hi, _mm256_set1_pd(pred[k + 1]), 8);
-    const __m256d best_lo =
-        _mm256_min_pd(_mm256_min_pd(diag_lo, v_lo), up_lo);
-    const __m256d best_hi =
-        _mm256_min_pd(_mm256_min_pd(diag_hi, v_hi), up_hi);
+    const __m256d best_lo = _mm256_min_pd(a_lo, up_lo);
+    const __m256d best_hi = _mm256_min_pd(a_hi, up_hi);
     v_lo = _mm256_add_pd(best_lo, c_lo);
     v_hi = _mm256_add_pd(best_hi, c_hi);
     if (kCount) {
@@ -117,11 +129,11 @@ void FillStrip(DpStrip& s) {
       cells_lo = _mm256_sub_epi64(
           cells_lo,
           _mm256_and_si256(live_lo, _mm256_castpd_si256(_mm256_cmp_pd(
-                                        best_lo, inf, _CMP_LT_OQ))));
+                                        best_lo, threshold, _CMP_LE_OQ))));
       cells_hi = _mm256_sub_epi64(
           cells_hi,
           _mm256_and_si256(live_hi, _mm256_castpd_si256(_mm256_cmp_pd(
-                                        best_hi, inf, _CMP_LT_OQ))));
+                                        best_hi, threshold, _CMP_LE_OQ))));
     }
     min_lo = _mm256_min_pd(min_lo, v_lo);
     min_hi = _mm256_min_pd(min_hi, v_hi);
@@ -132,6 +144,7 @@ void FillStrip(DpStrip& s) {
     diag_lo = up_lo;
     diag_hi = up_hi;
   }
+  s.ran = k;
   _mm256_storeu_pd(s.row_min, min_lo);
   _mm256_storeu_pd(s.row_min + 4, min_hi);
   if (kCount) {
@@ -140,12 +153,17 @@ void FillStrip(DpStrip& s) {
   }
 }
 
+// Counting and pruning are chosen per strip from its inputs, so a fill
+// that does neither pays for neither.
 template <typename Cost>
 void Fill(DpStrip& strip) {
+  const bool prune = strip.min_steps < strip.steps;
   if (strip.count) {
-    FillStrip<Cost, true>(strip);
+    prune ? FillStrip<Cost, true, true>(strip)
+          : FillStrip<Cost, true, false>(strip);
   } else {
-    FillStrip<Cost, false>(strip);
+    prune ? FillStrip<Cost, false, true>(strip)
+          : FillStrip<Cost, false, false>(strip);
   }
 }
 

@@ -11,9 +11,10 @@
 /// the top lane; `diag` as the previous step's `up`; two integer mins
 /// (see MinValues) and one masked add, whose pass-through of +infinity
 /// kills the dead lanes; the
-/// live mask as one unsigned 64-bit compare. Only plain AVX-512F
-/// instructions are used. The row minima and counts stay in registers
-/// until the strip ends.
+/// live mask as one unsigned 64-bit compare. The pruning exit reuses the
+/// first min: one compare of min(diag, v) against the threshold and one
+/// mask test. Only plain AVX-512F instructions are used. The row minima
+/// and counts stay in registers until the strip ends.
 
 #if !defined(__AVX512F__)
 #error "row_kernel_avx512.cc must be compiled with -mavx512f"
@@ -64,15 +65,17 @@ inline __m512d MinValues(__m512d a, __m512d b) {
       _mm512_min_epu64(_mm512_castpd_si512(a), _mm512_castpd_si512(b)));
 }
 
-template <typename Cost, bool kCount>
+template <typename Cost, bool kCount, bool kPrune>
 void FillStrip(DpStrip& s) {
   // Locals, not struct reads: stores to the wave may alias the strip.
   const std::size_t steps = s.steps;
+  const std::size_t min_steps = s.min_steps;
   const double* pred = s.pred;
   const double* y = s.y;
   double* wave = s.wave;
   double* last = s.last;
   const __m512d inf = _mm512_set1_pd(kRowInf);
+  const __m512d threshold = _mm512_set1_pd(s.threshold);
   const __m512d xv = _mm512_loadu_pd(s.x);
   const __m512i width = _mm512_loadu_si512(s.width);
   const __m512i one = _mm512_set1_epi64(1);
@@ -83,7 +86,15 @@ void FillStrip(DpStrip& s) {
   __m512d diag = _mm512_mask_mov_pd(inf, 0x80, _mm512_set1_pd(pred[0]));
   __m512d row_min = inf;
   __m512i cells = _mm512_setzero_si512();
-  for (std::size_t k = 0; k < steps; ++k) {
+  std::size_t k = 0;
+  for (; k < steps; ++k) {
+    // v and diag feed this step and, with pred past the live span, every
+    // later one: once all are dead, the rest of the strip is dead too.
+    const __m512d a = MinValues(diag, v);
+    if (kPrune && k >= min_steps &&
+        _mm512_cmp_pd_mask(a, threshold, _CMP_LE_OQ) == 0) {
+      break;
+    }
     const __mmask8 live = _mm512_cmplt_epu64_mask(rel, width);
     rel = _mm512_add_epi64(rel, one);
     const __m512d c = CostVector(Cost{}, xv, _mm512_loadu_pd(y + k));
@@ -91,28 +102,34 @@ void FillStrip(DpStrip& s) {
     const __m512d up = _mm512_castsi512_pd(_mm512_alignr_epi64(
         _mm512_castpd_si512(_mm512_set1_pd(pred[k + 1])),
         _mm512_castpd_si512(v), 1));
-    const __m512d best = MinValues(MinValues(diag, v), up);
+    const __m512d best = MinValues(a, up);
     v = _mm512_mask_add_pd(inf, live, best, c);
     if (kCount) {
-      const __mmask8 finite =
-          _mm512_mask_cmp_pd_mask(live, best, inf, _CMP_LT_OQ);
-      cells = _mm512_mask_add_epi64(cells, finite, cells, one);
+      const __mmask8 counted =
+          _mm512_mask_cmp_pd_mask(live, best, threshold, _CMP_LE_OQ);
+      cells = _mm512_mask_add_epi64(cells, counted, cells, one);
     }
     row_min = _mm512_min_pd(row_min, v);
     _mm512_storeu_pd(wave + kStripRows * k, v);
     _mm_store_sd(last + k, _mm512_castpd512_pd128(v));
     diag = up;
   }
+  s.ran = k;
   _mm512_storeu_pd(s.row_min, row_min);
   if (kCount) _mm512_storeu_si512(s.cells, cells);
 }
 
+// Counting and pruning are chosen per strip from its inputs, so a fill
+// that does neither pays for neither.
 template <typename Cost>
 void Fill(DpStrip& strip) {
+  const bool prune = strip.min_steps < strip.steps;
   if (strip.count) {
-    FillStrip<Cost, true>(strip);
+    prune ? FillStrip<Cost, true, true>(strip)
+          : FillStrip<Cost, true, false>(strip);
   } else {
-    FillStrip<Cost, false>(strip);
+    prune ? FillStrip<Cost, false, true>(strip)
+          : FillStrip<Cost, false, false>(strip);
   }
 }
 

@@ -20,10 +20,12 @@ namespace {
 using internal::kRowInf;
 constexpr std::size_t kLanes = kStripRows;
 
-template <typename Cost, bool kCount>
+template <typename Cost, bool kCount, bool kPrune>
 void FillStrip(DpStrip& s) {
   // Locals, not struct reads: stores to the wave may alias the strip.
   const std::size_t steps = s.steps;
+  const std::size_t min_steps = s.min_steps;
+  const double threshold = s.threshold;
   const double* pred = s.pred;
   const double* y = s.y;
   double* wave = s.wave;
@@ -46,7 +48,17 @@ void FillStrip(DpStrip& s) {
     x[l] = s.x[l];
   }
   diag[kLanes - 1] = pred[0];
-  for (std::size_t k = 0; k < steps; ++k) {
+  std::size_t k = 0;
+  for (; k < steps; ++k) {
+    // v and diag feed this step and, with pred past the live span, every
+    // later one: once all are dead, the rest of the strip is dead too.
+    double a[kLanes];
+    bool any_live = false;
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      a[l] = diag[l] < v[l] ? diag[l] : v[l];
+      any_live |= a[l] <= threshold;
+    }
+    if (kPrune && k >= min_steps && !any_live) break;
     // Lane l + 1 holds the row above lane l; the top lane's is pred.
     double up[kLanes];
     for (std::size_t l = 0; l + 1 < kLanes; ++l) up[l] = v[l + 1];
@@ -55,12 +67,11 @@ void FillStrip(DpStrip& s) {
     double* out = wave + kLanes * k;
     for (std::size_t l = 0; l < kLanes; ++l) {
       const bool live = k - begin[l] < width[l];
-      const double a = diag[l] < v[l] ? diag[l] : v[l];
-      const double best = a < up[l] ? a : up[l];
+      const double best = a[l] < up[l] ? a[l] : up[l];
       // A dead lane adds +infinity, which keeps it at +infinity.
       const double c = live ? cost(x[l], yy[l]) : kRowInf;
       const double value = best + c;
-      if (kCount) cells[l] += live && best < kRowInf ? 1 : 0;
+      if (kCount) cells[l] += live && best <= threshold ? 1 : 0;
       row_min[l] = value < row_min[l] ? value : row_min[l];
       out[l] = value;
     }
@@ -70,18 +81,24 @@ void FillStrip(DpStrip& s) {
     }
     last[k] = out[0];
   }
+  s.ran = k;
   for (std::size_t l = 0; l < kLanes; ++l) {
     s.row_min[l] = row_min[l];
     if (kCount) s.cells[l] = cells[l];
   }
 }
 
+// Counting and pruning are chosen per strip from its inputs, so a fill
+// that does neither pays for neither.
 template <typename Cost>
 void Fill(DpStrip& strip) {
+  const bool prune = strip.min_steps < strip.steps;
   if (strip.count) {
-    FillStrip<Cost, true>(strip);
+    prune ? FillStrip<Cost, true, true>(strip)
+          : FillStrip<Cost, true, false>(strip);
   } else {
-    FillStrip<Cost, false>(strip);
+    prune ? FillStrip<Cost, false, true>(strip)
+          : FillStrip<Cost, false, false>(strip);
   }
 }
 

@@ -37,18 +37,64 @@
 /// distance between rows — with no fallback path.
 ///
 /// Per-row semantics stay per row. The fill keeps a minimum per lane and,
-/// on request, a count per lane of cells with a finite predecessor. The
-/// driver (dtw.cc) then scans the strip's rows in order and abandons at the
-/// first row whose minimum exceeds its threshold, counting cells up to and
-/// including that row: exactly the row-at-a-time semantics of
-/// FillBandRowScalar, so abandon decisions and cell counts are identical,
-/// not just distances. The count stays exact when Δ overflows to +infinity
-/// (a finite predecessor plus an infinite cost is a counted +infinity
-/// cell, in both kernels).
+/// on request, a count per lane of cells with a live best predecessor
+/// (below). The driver (dtw.cc) then scans the strip's rows in order and
+/// abandons at the first row whose minimum exceeds its threshold, counting
+/// cells up to and including that row: exactly the row-at-a-time
+/// semantics of FillBandRowScalar, so abandon decisions and cell counts
+/// are identical, not just distances. The count stays exact when Δ
+/// overflows to +infinity (a live predecessor plus an infinite cost is a
+/// counted +infinity cell, in both kernels).
 ///
-/// Every value is bit-identical to the scalar loop: min is exact on the
-/// kernel's NaN-free values whatever the order of its operands, and the
-/// one add of the separately rounded cost is the same add. This also
+/// Pruning (EAPrunedDTW: Herrmann & Webb, DMKD 2021, after PrunedDTW:
+/// Silva & Batista, SDM 2016). A DP given a finite abandon threshold t
+/// skips every cell that cannot lie on a path at or below t:
+///  * a cell is dead iff its value is > t — the abandon test's own
+///    comparison, so a cell equal to t stays live;
+///  * each strip starts at its predecessor row's first live column (first
+///    live columns never decrease down the grid), and is staged with only
+///    that row's live span, +infinity elsewhere;
+///  * the fill stops before step k once both vectors that feed step k —
+///    the previous values and the carried diag (the row above, two steps
+///    back) — are dead in every lane and no staged predecessor cell from
+///    column t0 + k on is live: one compare and one mask test per step,
+///    off the min/min/add chain. Every cell it could still compute would
+///    be dead;
+///  * a row with no live cell reads a minimum above t (+infinity when the
+///    fill never reached it), so the DP abandons at the same row as the
+///    unpruned row-minimum test.
+/// A non-finite threshold never prunes: threshold-free DPs compute exactly
+/// the unpruned cells.
+///
+/// Why this stays bitwise exact with no rounding guard. A computed cell
+/// never reads below its exact value: it takes a min over the same or
+/// fewer predecessors. Suppose a cell's exact value v = fl(p + c) is <= t.
+/// Its minimum predecessor p then satisfies p <= v <= t, because c >= 0
+/// and rounding is monotone; so p is live and, by induction, exact. Every
+/// cell <= t therefore keeps its exact value, and every other cell reads
+/// > t: completed distances, abandoning rows and row minima at or below t
+/// are the unpruned ones. A path's cells are all <= its distance <= t,
+/// and a pruned predecessor reads > t, so it can neither win nor tie:
+/// backtracked paths are the unpruned ones too.
+///
+/// Stale cells. Past the step where a fill stopped, the wave and the last
+/// row still hold an earlier strip's values. The driver reads them as
+/// +infinity: the final distance, the next strip's predecessor and the
+/// path-mode copies take only the steps the fill ran (a BandMatrix starts
+/// all +infinity, so copying the stepped-through cells is enough).
+///
+/// What cells_filled counts: the cells whose best predecessor is finite
+/// and <= t — with no threshold, every cell with a finite predecessor.
+/// These are exactly the cells any exact pruned DP must evaluate, so the
+/// count does not depend on where a strip starts or stops; the unpruned
+/// FillBandRowScalar computes it from its `threshold` argument. The work a
+/// pruned DP actually did — each row's window clipped to the steps its
+/// strip ran — is DtwScratch::dp_cells.
+///
+/// Every value the fill computes is bit-identical to the scalar loop: min
+/// is exact on the kernel's NaN-free values whatever the order of its
+/// operands, and the one add of the separately rounded cost is the same
+/// add. This also
 /// requires building without FMA contraction (-ffp-contract=off): fusing
 /// the cost multiply into the accumulate add would change the rounding.
 ///
@@ -79,13 +125,16 @@ inline constexpr double kRowInf = std::numeric_limits<double>::infinity();
 /// oracle the property suite pins every dispatched variant against. Fills
 /// cur[0..chi-clo] with DP columns [clo, chi] of row i, reading DP row i-1
 /// from prev, whose window is [plo, phi] (reads outside it are +infinity).
-/// Returns the row minimum; `cells` (when non-null) is incremented once per
-/// filled cell.
+/// It never prunes: every value is exact. Returns the row minimum; `cells`
+/// (when non-null) is incremented once per cell whose best predecessor is
+/// finite and not above `threshold` — the cells any exact DP pruned at
+/// that threshold must evaluate (every finite one by default).
 template <typename Cost>
 static double FillBandRowScalar(const double* prev, std::size_t plo,
                                 std::size_t phi, double* cur, std::size_t clo,
                                 std::size_t chi, double xi, const double* y,
-                                Cost cost, std::size_t* cells) {
+                                Cost cost, std::size_t* cells,
+                                double threshold = kRowInf) {
   double row_min = kRowInf;
   double left = kRowInf;  // value at (i, j-1); out-of-band at j == clo
   for (std::size_t j = clo; j <= chi; ++j) {
@@ -97,7 +146,7 @@ static double FillBandRowScalar(const double* prev, std::size_t plo,
     if (std::isfinite(best)) {
       v = best + cost(xi, y[j - 1]);
       row_min = std::min(row_min, v);
-      if (cells != nullptr) ++*cells;
+      if (cells != nullptr && !(best > threshold)) ++*cells;
     }
     cur[j - clo] = v;
     left = v;

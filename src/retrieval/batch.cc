@@ -269,9 +269,11 @@ double BatchKnnEngine::CascadeDistance(const ts::TimeSeries& query,
       break;
     }
   }
+  if (stats == nullptr) return d;
+  stats->dp_cells += scratch.dp().dp_cells();
   // +inf under a finite threshold means the DP was abandoned: move its
   // count from the completed DPs to the early-abandon prunes.
-  if (!std::isfinite(d) && std::isfinite(abandon_above) && stats != nullptr) {
+  if (!std::isfinite(d) && std::isfinite(abandon_above)) {
     ++stats->pruned_by_early_abandon;
     --stats->dp_evaluations;
   }
@@ -511,18 +513,25 @@ std::vector<std::vector<AlignedHit>> BatchKnnEngine::QueryBatchWithAlignments(
           break;
         }
         case DistanceKind::kFullDtw: {
+          // The full grid as a band, pruned at the known distance like
+          // the kSdtw re-run below.
           dtw::DtwOptions dtw_options;
           dtw_options.cost = dtw::CostKind::kAbsolute;
           dtw_options.want_path = true;
           dtw_options.kernel = options_.kernel;
-          aligned.path = dtw::Dtw(queries[q], target, dtw_options).path;
+          aligned.path =
+              dtw::DtwBanded(queries[q], target,
+                             dtw::Band::Full(queries[q].size(), target.size()),
+                             dtw_options, aligned.hit.distance)
+                  .path;
           break;
         }
         case DistanceKind::kSdtw: {
-          // Abandon threshold pinned to the known distance: the DP fills
-          // the same band with the same values, every row minimum is <=
-          // the final distance, so the re-run can never abandon — it just
-          // adds the backtrack.
+          // Abandon threshold pinned to the known distance: every row
+          // minimum is <= the final distance, so the re-run can never
+          // abandon. It prunes every cell above the distance, which keeps
+          // the value of each cell on or below it, so it backtracks the
+          // same path.
           core::SdtwResult res = path_engine->Compare(
               queries[q], contexts[q].features, target,
               index_.features_[candidate], aligned.hit.distance);

@@ -99,10 +99,11 @@ struct BatchOptions {
 ///
 /// Produced by QueryBatchWithAlignments: the batch runs distance-only (so
 /// the cascade prunes at full strength), then only the final k winners per
-/// query are re-aligned — full DTW with backtracking for kFullDtw,
-/// core::Sdtw::Compare in path mode for kSdtw (same band, same DP values,
-/// `abandon_above` pinned to the already-known distance so the re-run can
-/// never abandon), and the pointwise diagonal for the equal-length
+/// query are re-aligned — dtw::DtwBanded over the full grid for kFullDtw,
+/// core::Sdtw::Compare in path mode for kSdtw (same band), both with
+/// `abandon_above` pinned to the already-known distance, so the re-run
+/// can never abandon and prunes every cell above the distance without
+/// changing the path — and the pointwise diagonal for the equal-length
 /// kEuclidean / kL1 baselines.
 struct AlignedHit {
   Hit hit;

@@ -75,8 +75,9 @@ struct KnnOptions {
   /// band only removes paths, so sDTW >= DTW >= this bound, and the stage
   /// runs before the band is built.
   bool use_lb_keogh = true;
-  /// Enable early-abandoning DP against the best-so-far distance. Applies
-  /// to both DTW modes: the kFullDtw rolling kernel, and the kSdtw banded
+  /// Enable early-abandoning DP against the best-so-far distance, which
+  /// also prunes every DP cell above it (dtw/row_kernel.h). Applies to
+  /// both DTW modes: the kFullDtw rolling kernel, and the kSdtw banded
   /// kernel (band pruning and best-so-far pruning compose).
   bool use_early_abandon = true;
 };
@@ -100,7 +101,10 @@ struct Hit {
 /// (LbKeoghAbandoning), saving part of the O(n) bound computation on top
 /// of the prune itself; band_builds counts sDTW Sdtw::BuildBand calls
 /// (matching + consistency + band) — candidates − pruned_by_kim −
-/// pruned_by_keogh in kSdtw mode, 0 in every other mode.
+/// pruned_by_keogh in kSdtw mode, 0 in every other mode. dp_cells counts
+/// the DP work itself: the window cells the cascade's DPs evaluated, each
+/// row's window clipped to the steps its strip ran (dtw::DtwScratch::
+/// dp_cells), summed over abandoned and completed DPs alike.
 struct QueryStats {
   std::size_t candidates = 0;
   std::size_t pruned_by_kim = 0;
@@ -109,6 +113,7 @@ struct QueryStats {
   std::size_t dp_evaluations = 0;
   std::size_t lb_keogh_abandoned = 0;
   std::size_t band_builds = 0;
+  std::size_t dp_cells = 0;
 
   /// Accumulates another set of counters into this one (per-chunk merge in
   /// the batch engine, per-query aggregation in reporting).
@@ -120,6 +125,7 @@ struct QueryStats {
     dp_evaluations += other.dp_evaluations;
     lb_keogh_abandoned += other.lb_keogh_abandoned;
     band_builds += other.band_builds;
+    dp_cells += other.dp_cells;
   }
   /// Fraction of candidates the cascade resolved without a completed DP:
   /// 1 − dp_evaluations / candidates (0 on an empty scan).

@@ -3,8 +3,11 @@
 #include <cmath>
 #include <gtest/gtest.h>
 #include <limits>
+#include <vector>
 
 #include "data/generators.h"
+#include "dtw/band_matrix.h"
+#include "dtw/row_kernel.h"
 #include "ts/random.h"
 #include "ts/transforms.h"
 
@@ -75,6 +78,28 @@ TEST(SdtwTest, BandFeasibleForAllConstraintTypes) {
   }
 }
 
+// The cells a banded DP pruned at `threshold` evaluates when it does not
+// abandon: the scalar oracle's count, row by row over the band
+// (dtw/row_kernel.h).
+std::size_t OracleCells(const ts::TimeSeries& x, const ts::TimeSeries& y,
+                        const dtw::Band& band, double threshold) {
+  std::vector<double> prev = {0.0};
+  std::size_t plo = 0;
+  std::size_t phi = 0;
+  std::size_t cells = 0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const auto [lo, hi] = dtw::DpWindow(band.row(i), y.size());
+    std::vector<double> cur(lo <= hi ? hi - lo + 1 : 0);
+    dtw::internal::FillBandRowScalar(prev.data(), plo, phi, cur.data(), lo,
+                                     hi, x[i], y.values().data(),
+                                     dtw::AbsCost{}, &cells, threshold);
+    prev = std::move(cur);
+    plo = lo;
+    phi = hi;
+  }
+  return cells;
+}
+
 TEST(SdtwTest, CompareAbandonAboveUnderThresholdMatchesCompare) {
   SdtwOptions opt;
   opt.dtw.want_path = true;
@@ -84,17 +109,21 @@ TEST(SdtwTest, CompareAbandonAboveUnderThresholdMatchesCompare) {
   const auto fx = engine.ExtractFeatures(x);
   const auto fy = engine.ExtractFeatures(y);
   const SdtwResult full = engine.Compare(x, fx, y, fy);
-  // An inclusive threshold (the exact distance) must change nothing:
-  // same distance, same alignment path, same band. Neither must a NaN
-  // one, which is non-finite and so never abandons.
+  // An inclusive threshold (the exact distance) must change neither the
+  // distance, the alignment path nor the band. Neither must a NaN one,
+  // which is non-finite and so never abandons or prunes. The cells are
+  // those the oracle counts at the threshold.
   for (const double threshold :
        {full.distance, std::numeric_limits<double>::quiet_NaN()}) {
     const SdtwResult ea = engine.Compare(x, fx, y, fy, threshold);
     EXPECT_EQ(ea.distance, full.distance) << threshold;
     EXPECT_EQ(ea.path, full.path) << threshold;
     EXPECT_EQ(ea.band, full.band) << threshold;
-    EXPECT_EQ(ea.cells_filled, full.cells_filled) << threshold;
+    EXPECT_EQ(ea.cells_filled, OracleCells(x, y, full.band, threshold))
+        << threshold;
   }
+  EXPECT_EQ(full.cells_filled,
+            OracleCells(x, y, full.band, dtw::kNoAbandon));
 }
 
 TEST(SdtwTest, CompareAbandonAboveAbandonsBelowThreshold) {

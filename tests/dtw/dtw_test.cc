@@ -4,8 +4,10 @@
 #include <cmath>
 #include <gtest/gtest.h>
 #include <limits>
+#include <vector>
 
 #include "dtw/band_matrix.h"
+#include "dtw/row_kernel.h"
 
 namespace sdtw {
 namespace dtw {
@@ -372,20 +374,44 @@ TEST(MaxDpRowWidthTest, MatchesBandShape) {
   EXPECT_EQ(MaxDpRowWidth(sakoe), expected);
 }
 
+// The cells a DP pruned at `threshold` evaluates when it does not abandon:
+// the scalar oracle's count, row by row over the band (row_kernel.h).
+std::size_t OracleCells(const ts::TimeSeries& x, const ts::TimeSeries& y,
+                        const Band& band, double threshold) {
+  std::vector<double> prev = {0.0};
+  std::size_t plo = 0;
+  std::size_t phi = 0;
+  std::size_t cells = 0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const auto [lo, hi] = DpWindow(band.row(i), y.size());
+    std::vector<double> cur(lo <= hi ? hi - lo + 1 : 0);
+    internal::FillBandRowScalar(prev.data(), plo, phi, cur.data(), lo, hi,
+                                x[i], y.values().data(), AbsCost{}, &cells,
+                                threshold);
+    prev = std::move(cur);
+    plo = lo;
+    phi = hi;
+  }
+  return cells;
+}
+
 TEST(BandedPathEarlyAbandonTest, UnderThresholdIdenticalToDtwBanded) {
   const ts::TimeSeries x({0.3, 1.2, -0.5, 0.8, 0.0, 0.4, 1.3});
   const ts::TimeSeries y({0.1, 1.0, -0.2, 0.6, 0.2, 0.9});
   const Band band = SakoeChibaBand(x.size(), y.size(), 0.5);
   const DtwResult full = DtwBanded(x, y, band);
   // A threshold above the distance, and a NaN one (non-finite: never
-  // abandons), leave the result identical.
+  // abandons or prunes), leave the distance and path identical; the
+  // cells are those the oracle counts at the threshold.
   for (const double threshold :
        {full.distance + 1.0, std::numeric_limits<double>::quiet_NaN()}) {
     const DtwResult ea = DtwBanded(x, y, band, {}, threshold);
     EXPECT_EQ(ea.distance, full.distance) << threshold;
     EXPECT_EQ(ea.path, full.path) << threshold;
-    EXPECT_EQ(ea.cells_filled, full.cells_filled) << threshold;
+    EXPECT_EQ(ea.cells_filled, OracleCells(x, y, band, threshold))
+        << threshold;
   }
+  EXPECT_EQ(full.cells_filled, OracleCells(x, y, band, kNoAbandon));
   // Inclusive threshold: exactly the distance still returns it.
   const DtwResult at = DtwBanded(x, y, band, {}, full.distance);
   EXPECT_EQ(at.distance, full.distance);

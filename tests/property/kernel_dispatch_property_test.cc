@@ -6,7 +6,8 @@
 //  * strip level: each variant's dispatched strip fills reproduce
 //    FillBandRowScalar row by row, bit for bit (cell values, row minima,
 //    cell counts, +infinity in dead lanes), on random strips of every
-//    shape (strip_harness.h);
+//    shape (strip_harness.h), and pruned at thresholds that tie the
+//    reference values, stop at the same step;
 //  * library level: distances, warp paths, and cells_filled through
 //    DtwOptions::kernel, and early-abandon decisions through a pinned
 //    DtwScratch, identical across variants for thresholds straddling the
@@ -64,6 +65,29 @@ TEST(KernelDispatchProperty, EveryVariantMatchesScalarOnRandomWindows) {
       if (HasFatalFailure()) {
         ADD_FAILURE() << "trial " << trial << " variant " << ops->name;
         return;
+      }
+    }
+  }
+}
+
+TEST(KernelDispatchProperty, EveryVariantMatchesScalarOnPrunedStrips) {
+  const std::vector<const RowKernelOps*> variants = SupportedRowKernels();
+  ASSERT_FALSE(variants.empty());
+  ts::Rng rng(20261020);
+  for (int trial = 0; trial < 600; ++trial) {
+    const ts::TimeSeries y =
+        RandomWalk(trial % 5 == 0 ? 1 + trial % 17 : 160, 7 + trial % 3);
+    const StripCase c = RandomStrip(rng, y.size());
+    const CostKind cost =
+        trial % 2 == 0 ? CostKind::kAbsolute : CostKind::kSquared;
+    for (const double threshold : StripTieThresholds(cost, c, y)) {
+      for (const RowKernelOps* ops : variants) {
+        CheckStrip(*ops, cost, c, y, threshold);
+        if (HasFatalFailure()) {
+          ADD_FAILURE() << "trial " << trial << " variant " << ops->name
+                        << " threshold " << threshold;
+          return;
+        }
       }
     }
   }

@@ -6,8 +6,9 @@
 /// strip exactly as the DpStrip contract (dtw/kernel_dispatch.h) states,
 /// runs a variant's strip fill, and pins every observable bit — each row's
 /// cell values, its minimum and its cell count, the +infinity of every
-/// dead lane, and the contiguous copy of the last lane — against
-/// FillBandRowScalar run row by row.
+/// dead lane, the contiguous copy of the last lane, and under a threshold
+/// the step the fill stopped at — against FillBandRowScalar run row by
+/// row.
 ///
 /// The staging here is written from the contract, independently of the
 /// library's driver (dtw.cc), so the two check each other: this harness
@@ -43,17 +44,38 @@ struct StripCase {
   double x[kStripRows] = {};
 };
 
+/// Where a pruned fill stopped (CheckStrip): the steps it ran out of the
+/// strip's, and the one lane still live in the vectors of its last step
+/// (kStripRows when several were, or the fill ran to the end).
+struct StripStop {
+  std::size_t ran = 0;
+  std::size_t steps = 0;
+  std::size_t lane = kStripRows;
+};
+
 /// Runs `c` through FillBandRowScalar row by row and through `ops`'s strip
 /// fill (with and without counting), asserting bitwise agreement. The
 /// strip must hold at least one non-empty row (the driver never
 /// dispatches an all-empty strip).
+///
+/// A finite `threshold` stages the strip for pruning (row_kernel.h): the
+/// fill must stop at exactly the step the rule gives on the reference
+/// values, match them bit for bit at every step before it, leave only
+/// dead cells after it, and count the cells FillBandRowScalar counts at
+/// that threshold. Without one the fill runs every step. `stop`, when
+/// non-null, receives where the fill stopped.
 inline void CheckStrip(const RowKernelOps& ops, CostKind cost,
-                       const StripCase& c, const ts::TimeSeries& y) {
+                       const StripCase& c, const ts::TimeSeries& y,
+                       double threshold =
+                           std::numeric_limits<double>::infinity(),
+                       StripStop* stop = nullptr) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
+  const bool prune = std::isfinite(threshold);
   const std::size_t m = y.size();
   const double* yv = y.values().data();
 
-  // Reference: one row at a time.
+  // Reference: one row at a time, exact values, cells counted at the
+  // threshold.
   std::vector<std::vector<double>> ref_rows(c.rows);
   double ref_min[kStripRows];
   std::size_t ref_cells[kStripRows];
@@ -69,10 +91,11 @@ inline void CheckStrip(const RowKernelOps& ops, CostKind cost,
         cost == CostKind::kAbsolute
             ? internal::FillBandRowScalar(prev.data(), plo, phi, row.data(),
                                           c.lo[r], c.hi[r], c.x[r], yv,
-                                          AbsCost{}, &ref_cells[r])
+                                          AbsCost{}, &ref_cells[r], threshold)
             : internal::FillBandRowScalar(prev.data(), plo, phi, row.data(),
                                           c.lo[r], c.hi[r], c.x[r], yv,
-                                          SquaredCost{}, &ref_cells[r]);
+                                          SquaredCost{}, &ref_cells[r],
+                                          threshold);
     prev = row;
     plo = c.lo[r];
     phi = c.hi[r];
@@ -114,6 +137,65 @@ inline void CheckStrip(const RowKernelOps& ops, CostKind cost,
   strip.steps = steps;
   strip.pred = pred.data();
   strip.y = ys.data();
+  // The fill may stop past the last live predecessor cell.
+  strip.min_steps = steps;
+  if (prune) {
+    strip.threshold = threshold;
+    strip.min_steps = 0;
+    for (std::size_t q = 0; q <= steps; ++q) {
+      if (pred[q] <= threshold) strip.min_steps = q;
+    }
+  }
+
+  // The reference value of lane l at step k (+infinity where the lane is
+  // dead, and before step 0), and the step the rule stops before: the
+  // first k >= min_steps where min(diag, v) is dead in every lane.
+  const auto ref_at = [&](std::size_t k, std::size_t l) {
+    const std::size_t r = kStripRows - 1 - l;
+    if (k >= steps || k - strip.begin[l] >= strip.width[l]) return kInf;
+    return ref_rows[r][k - strip.begin[l]];
+  };
+  const auto feed = [&](std::size_t k, std::size_t l) {
+    // min(diag, v) of step k: diag is the up vector of step k - 1.
+    const double v = k > 0 ? ref_at(k - 1, l) : kInf;
+    const double diag = l + 1 < kStripRows
+                            ? (k > 1 ? ref_at(k - 2, l + 1) : kInf)
+                            : pred[k];
+    return std::min(v, diag);
+  };
+  std::size_t want_ran = steps;
+  for (std::size_t k = strip.min_steps; k < steps; ++k) {
+    bool live = false;
+    for (std::size_t l = 0; l < kStripRows; ++l) {
+      live |= feed(k, l) <= threshold;
+    }
+    if (!live) {
+      want_ran = k;
+      break;
+    }
+  }
+  if (stop != nullptr) {
+    stop->ran = want_ran;
+    stop->steps = steps;
+    stop->lane = kStripRows;
+    if (want_ran > 0 && want_ran < steps) {
+      std::size_t live_lanes = 0;
+      for (std::size_t l = 0; l < kStripRows; ++l) {
+        if (feed(want_ran - 1, l) <= threshold) {
+          ++live_lanes;
+          stop->lane = l;
+        }
+      }
+      if (live_lanes != 1) stop->lane = kStripRows;
+    }
+  }
+  // Pruning is sound: every cell past the stop is dead.
+  for (std::size_t k = want_ran; k < steps; ++k) {
+    for (std::size_t l = 0; l < kStripRows; ++l) {
+      ASSERT_GT(ref_at(k, l), threshold)
+          << "live cell past the stop, lane " << l << " step " << k;
+    }
+  }
 
   for (const bool count : {true, false}) {
     std::vector<double> wave(kStripRows * steps, -7.0);  // poison
@@ -121,36 +203,70 @@ inline void CheckStrip(const RowKernelOps& ops, CostKind cost,
     strip.wave = wave.data();
     strip.last = last.data();
     strip.count = count;
+    strip.ran = 777;
     for (std::size_t r = 0; r < kStripRows; ++r) {
       strip.row_min[r] = -7.0;
       strip.cells[r] = 777;
     }
     ops.fill(cost)(strip);
+    ASSERT_EQ(want_ran, strip.ran) << ops.name << " stopped elsewhere";
     for (std::size_t r = 0; r < kStripRows; ++r) {
       const std::size_t l = kStripRows - 1 - r;
-      // Lanes past the last row are empty rows: minimum +inf, no cells.
-      ASSERT_EQ(r < c.rows ? ref_min[r] : kInf, strip.row_min[l])
-          << ops.name << " row " << r;
+      // The minimum over the steps run; lanes past the last row are empty
+      // rows: minimum +inf, no cells.
+      double want_min = kInf;
+      for (std::size_t k = 0; k < want_ran; ++k) {
+        want_min = std::min(want_min, ref_at(k, l));
+      }
+      ASSERT_EQ(want_min, strip.row_min[l]) << ops.name << " row " << r;
+      if (r < c.rows && ref_min[r] <= threshold) {
+        ASSERT_EQ(ref_min[r], strip.row_min[l]) << ops.name << " row " << r;
+      }
       ASSERT_EQ(count ? (r < c.rows ? ref_cells[r] : 0) : 777u,
                 strip.cells[l])
           << ops.name << " row " << r << (count ? "" : " counted anyway");
-      for (std::size_t k = 0; k < steps; ++k) {
+      for (std::size_t k = 0; k < want_ran; ++k) {
         const double got = wave[kStripRows * k + l];
         if (l == 0) {
           ASSERT_EQ(got, last[k]) << ops.name << " last row, step " << k;
         }
-        const bool live = k - strip.begin[l] < strip.width[l];
-        if (live) {
-          ASSERT_EQ(ref_rows[r][k - strip.begin[l]], got)
-              << ops.name << " row " << r << " column "
-              << c.lo[r] + (k - strip.begin[l]);
-        } else {
-          ASSERT_EQ(kInf, got) << ops.name << " dead row " << r << " step "
-                               << k;
-        }
+        ASSERT_EQ(ref_at(k, l), got)
+            << ops.name << " row " << r << " step " << k;
       }
     }
   }
+}
+
+/// Thresholds that tie the reference values of `c` exactly: each row's
+/// minimum, and the largest double below it.
+inline std::vector<double> StripTieThresholds(CostKind cost,
+                                              const StripCase& c,
+                                              const ts::TimeSeries& y) {
+  std::vector<double> out;
+  std::vector<double> prev = c.prev;
+  std::size_t plo = c.plo;
+  std::size_t phi = c.phi;
+  for (std::size_t r = 0; r < c.rows; ++r) {
+    std::vector<double> row(c.lo[r] <= c.hi[r] ? c.hi[r] - c.lo[r] + 1 : 0);
+    const double row_min =
+        cost == CostKind::kAbsolute
+            ? internal::FillBandRowScalar(prev.data(), plo, phi, row.data(),
+                                          c.lo[r], c.hi[r], c.x[r],
+                                          y.values().data(), AbsCost{},
+                                          nullptr)
+            : internal::FillBandRowScalar(prev.data(), plo, phi, row.data(),
+                                          c.lo[r], c.hi[r], c.x[r],
+                                          y.values().data(), SquaredCost{},
+                                          nullptr);
+    if (std::isfinite(row_min)) {
+      out.push_back(row_min);
+      out.push_back(std::nextafter(row_min, -1.0));
+    }
+    prev = std::move(row);
+    plo = c.lo[r];
+    phi = c.hi[r];
+  }
+  return out;
 }
 
 /// A random strip over y: random row count, windows mostly near each

@@ -313,6 +313,41 @@ TEST(BatchKnnEngineTest, StatsCountersSumExactlyToCandidates) {
   }
 }
 
+TEST(BatchKnnEngineTest, DpCellsCountEvaluatedWindowCells) {
+  // dp_cells counts the window cells the cascade's DPs stepped through.
+  // Without early abandoning every exact-DTW DP runs its whole n x m grid.
+  // With it, the DPs prune every cell above the best-so-far, step through
+  // fewer cells, and return bitwise the same hits.
+  const ts::Dataset ds = SmallGun(24);  // equal lengths
+  const std::size_t n = ds[0].size();
+  const std::vector<ts::TimeSeries> queries = QueriesFrom(ds, 6);
+  std::vector<std::optional<std::size_t>> excludes;
+  for (std::size_t q = 0; q < queries.size(); ++q) excludes.push_back(q);
+  BatchOptions bopt;
+  bopt.num_threads = 1;
+  std::vector<std::vector<Hit>> hits[2];
+  QueryStats total[2];
+  for (const bool abandon : {false, true}) {
+    KnnOptions opt;
+    opt.distance = DistanceKind::kFullDtw;
+    opt.use_early_abandon = abandon;
+    KnnEngine engine(opt);
+    engine.Index(ds);
+    std::vector<QueryStats> stats;
+    hits[abandon] =
+        BatchKnnEngine(engine, bopt).QueryBatch(queries, 3, &stats, excludes);
+    for (const QueryStats& s : stats) total[abandon].Merge(s);
+  }
+  EXPECT_EQ(total[0].dp_cells, total[0].dp_evaluations * n * n);
+  EXPECT_EQ(total[1].dp_evaluations + total[1].pruned_by_early_abandon,
+            total[0].dp_evaluations);
+  EXPECT_GT(total[1].dp_cells, 0u);
+  EXPECT_LT(total[1].dp_cells, total[0].dp_cells);
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    ExpectSameHits(hits[1][q], hits[0][q], "query " + std::to_string(q));
+  }
+}
+
 TEST(BatchKnnEngineTest, VisitOrdersReturnBitwiseIdenticalHits) {
   // The LB_Kim schedule is pure ordering: hit lists must equal the
   // index-order scan bit for bit under every thread count, while running
