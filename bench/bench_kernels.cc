@@ -5,8 +5,10 @@
 #include <benchmark/benchmark.h>
 
 #include <string>
+#include <vector>
 
 #include "align/consistency.h"
+#include "align/match_kernel.h"
 #include "align/matching.h"
 #include "bench_common.h"
 #include "core/sdtw.h"
@@ -17,6 +19,7 @@
 #include "dtw/multiscale.h"
 #include "dtw/row_kernel.h"
 #include "sift/extractor.h"
+#include "sift/feature_block.h"
 #include "ts/random.h"
 #include "ts/transforms.h"
 
@@ -275,6 +278,101 @@ void BM_MatchingAndPruning(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MatchingAndPruning)->Arg(150)->Arg(275)->Arg(1024);
+
+// Seeded corpora for the per-variant matching and band-build cases: the
+// knn workloads' TraceLike family at length 128 (about 13 keypoints per
+// series) and the pairwise workload's WordsLike family at length 270
+// (about 27). An iteration times every ordered pair of distinct series in
+// turn, so the branch predictor cannot learn one pair, as it can in
+// BM_MatchingAndPruning.
+struct MatchCorpus {
+  std::vector<ts::TimeSeries> series;
+  std::vector<sift::FeatureBlock> blocks;
+  std::size_t pairs() const { return series.size() * (series.size() - 1); }
+};
+
+const MatchCorpus& TheMatchCorpus(bool words) {
+  const auto build = [](bool words_like) {
+    data::GeneratorOptions options;
+    options.length = words_like ? 270 : 128;
+    options.num_series = 48;
+    options.seed = 17;
+    const ts::Dataset ds = words_like ? data::MakeWordsLike(options)
+                                      : data::MakeTraceLike(options);
+    const core::Sdtw engine;
+    MatchCorpus c;
+    for (const ts::TimeSeries& s : ds) {
+      c.series.push_back(s);
+      c.blocks.emplace_back(engine.ExtractFeatures(s), s);
+    }
+    return c;
+  };
+  static const MatchCorpus trace_like = build(false);
+  static const MatchCorpus words_like = build(true);
+  return words ? words_like : trace_like;
+}
+
+// Runs fn(x, y) on every ordered pair of the corpus, and reports the time
+// per pair as `pair_us`.
+template <typename Fn>
+void EveryPair(benchmark::State& state, const MatchCorpus& c, Fn&& fn) {
+  for (auto _ : state) {
+    for (std::size_t x = 0; x < c.series.size(); ++x) {
+      for (std::size_t y = 0; y < c.series.size(); ++y) {
+        if (x != y) fn(x, y);
+      }
+    }
+  }
+  state.counters["pair_us"] = benchmark::Counter(
+      static_cast<double>(c.pairs()) * 1e-6,
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+
+void BM_FindDominantPairsVariant(benchmark::State& state, bool words,
+                                 const align::MatchKernelOps* ops) {
+  const MatchCorpus& c = TheMatchCorpus(words);
+  const align::MatchingOptions options;
+  align::MatchScratch scratch;
+  scratch.kernel = ops;
+  std::vector<align::MatchPair> pairs;
+  EveryPair(state, c, [&](std::size_t x, std::size_t y) {
+    align::FindDominantPairs(c.blocks[x], c.blocks[y], options,
+                             c.series[x].size(), c.series[y].size(), scratch,
+                             &pairs);
+    benchmark::DoNotOptimize(pairs.data());
+  });
+}
+
+void BM_BuildBandVariant(benchmark::State& state, bool words,
+                         const align::MatchKernelOps* ops) {
+  const MatchCorpus& c = TheMatchCorpus(words);
+  const core::Sdtw engine;
+  core::BandScratch scratch;
+  scratch.match.kernel = ops;
+  EveryPair(state, c, [&](std::size_t x, std::size_t y) {
+    benchmark::DoNotOptimize(
+        engine.BuildBand(c.series[x], c.blocks[x], c.series[y], c.blocks[y],
+                         scratch)
+            .CellCount());
+  });
+}
+
+const bool kMatchRowsRegistered = [] {
+  for (const align::MatchKernelOps* ops : align::SupportedMatchKernels()) {
+    for (const bool words : {false, true}) {
+      const std::string suffix =
+          std::string(words ? "/words270" : "/trace128") + "/kernel:" +
+          ops->name;
+      benchmark::RegisterBenchmark(
+          ("BM_FindDominantPairs" + suffix).c_str(),
+          BM_FindDominantPairsVariant, words, ops);
+      benchmark::RegisterBenchmark(("BM_BuildBand" + suffix).c_str(),
+                                   BM_BuildBandVariant, words, ops);
+    }
+  }
+  return true;
+}();
 
 void BM_BandConstruction(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

@@ -4,18 +4,23 @@
 Rules (each is a machine check of an invariant a PR established in prose):
 
   kernel-internal-linkage
-      Every symbol defined by the SIMD row-kernel translation units
-      (src/dtw/kernels/*.cc) and by src/dtw/row_kernel.h must have
+      Every symbol defined by the SIMD kernel translation units (the row
+      kernels in src/dtw/kernels/*.cc, the matching kernels in
+      src/align/kernels/*.cc) and by src/dtw/row_kernel.h must have
       internal linkage, except the per-variant ops table each kernel TU
       deliberately exports (sdtw::dtw::internal::k*RowKernelOps, declared
-      extern in dtw/kernel_dispatch.h). Kernel TUs are compiled with
+      extern in dtw/kernel_dispatch.h, and
+      sdtw::align::internal::k*MatchKernelOps, declared extern in
+      align/match_kernel.h). Kernel TUs are compiled with
       per-file arch flags; an external (strong OR weak/COMDAT) symbol
       leaking out of one lets the linker keep a single arbitrary copy —
       possibly the AVX-512 encoding — and hand it to TUs meant to stay
       portable (the ODR rule PR 6 established). Checked precisely: the
       linter compiles each TU with the same arch flags the build uses,
-      plus an anchor TU that odr-uses every row_kernel.h helper, and
-      inspects the object's symbol table with nm.
+      at -O1 and at -O0 (a Debug build inlines nothing, so every inline
+      function of another header a kernel calls comes out as a weak
+      symbol there), plus an anchor TU that odr-uses every row_kernel.h
+      helper, and inspects the objects' symbol tables with nm.
 
   fp-contract
       No build file or source may enable value-changing floating-point
@@ -66,7 +71,18 @@ FIXTURE_DIR_MARKERS = (os.path.join("tests", "lint", "fixtures"),)
 SKIP_DIR_NAMES = {".git", "_deps", "CMakeFiles"}
 
 ALLOWED_KERNEL_EXPORT = re.compile(
-    r"^sdtw::dtw::internal::k\w*RowKernelOps$")
+    r"^sdtw::(dtw::internal::k\w*RowKernelOps|"
+    r"align::internal::k\w*MatchKernelOps)$")
+
+# Directories (relative to the root) whose .cc files are kernel TUs, and
+# the object names a build gives them.
+KERNEL_DIRS = (("src", "dtw", "kernels"), ("src", "align", "kernels"))
+KERNEL_OBJECT = re.compile(r"(row|match)_kernel_\w+\.cc\.(o|obj)$")
+
+# Optimisation levels each kernel TU is probed at: -O1 stands for the
+# optimised builds; -O0 is what a Debug build compiles, where calls to
+# header inline functions are not inlined and so leave weak symbols.
+KERNEL_PROBE_LEVELS = ("-O1", "-O0")
 
 # nm symbol-type letters: uppercase (plus 'u'/'v'/'w') means the symbol is
 # visible outside the TU; weak definitions (W/V/u) are exactly the COMDAT
@@ -313,13 +329,18 @@ def external_symbols(nm, obj):
     return out
 
 
-def check_object_exports(nm, obj, label, findings, weak_ok=False):
-    try:
-        symbols = external_symbols(nm, obj)
-    except RuntimeError as e:
-        findings.add("kernel-internal-linkage", label, str(e))
-        return
-    for sym_type, name in symbols:
+def check_object_exports(nm, objs, label, findings, weak_ok=False):
+    """nm-checks the objects of one TU (one per probe level); a symbol
+    several of them export is reported once."""
+    symbols = {}
+    for obj in objs:
+        try:
+            for sym_type, name in external_symbols(nm, obj):
+                symbols.setdefault(name, sym_type)
+        except RuntimeError as e:
+            findings.add("kernel-internal-linkage", label, str(e))
+            return
+    for name, sym_type in symbols.items():
         if ALLOWED_KERNEL_EXPORT.match(name):
             continue
         if weak_ok and sym_type in ("W", "V", "w", "v"):
@@ -329,19 +350,21 @@ def check_object_exports(nm, obj, label, findings, weak_ok=False):
             f"external symbol leaks from an arch-flagged TU: "
             f"'{name}' (nm type {sym_type}) — give it internal linkage "
             f"(static / anonymous namespace); only the "
-            f"k<Variant>RowKernelOps table may be exported")
+            f"k<Variant>RowKernelOps and k<Variant>MatchKernelOps tables "
+            f"may be exported")
 
 
 def check_kernel_linkage(root, compiler, findings, verbose, jobs=1):
     """Returns None when the rule ran (findings hold the verdict) or a
     human-readable reason when a probe tool is missing (caller exits 69)."""
-    kernels_dir = os.path.join(root, "src", "dtw", "kernels")
     row_kernel = os.path.join(root, "src", "dtw", "row_kernel.h")
     sources = []
-    if os.path.isdir(kernels_dir):
-        sources = [os.path.join(kernels_dir, f)
-                   for f in sorted(os.listdir(kernels_dir))
-                   if f.endswith(".cc")]
+    for parts in KERNEL_DIRS:
+        kernels_dir = os.path.join(root, *parts)
+        if os.path.isdir(kernels_dir):
+            sources += [os.path.join(kernels_dir, f)
+                        for f in sorted(os.listdir(kernels_dir))
+                        if f.endswith(".cc")]
     if not sources and not os.path.isfile(row_kernel):
         return None  # nothing to check in this tree (fixture roots)
 
@@ -355,7 +378,7 @@ def check_kernel_linkage(root, compiler, findings, verbose, jobs=1):
         return (f"compiler '{compiler}' not found — "
                 "cannot verify kernel linkage")
 
-    base_flags = ["-std=c++20", "-O1", "-ffp-contract=off",
+    base_flags = ["-std=c++20", "-ffp-contract=off",
                   "-I", os.path.join(root, "src"), "-c"]
     with tempfile.TemporaryDirectory(prefix="sdtw_lint_") as tmpdir:
         # Probe arch-flag support once, serially, so the parallel phase
@@ -390,27 +413,36 @@ def check_kernel_linkage(root, compiler, findings, verbose, jobs=1):
             tasks.append(("src/dtw/row_kernel.h", arch, anchor, True))
 
         def probe(idx, label, arch, src, is_anchor):
-            """Compiles one TU and nm-checks it; returns Findings items."""
+            """Compiles one TU and nm-checks it; returns Findings items.
+            The anchor only takes the helpers' addresses, so -O1 shows
+            their linkage; kernel TUs are probed at every level."""
             local = Findings()
-            obj = os.path.join(tmpdir, f"probe_{idx}.o")
-            r = subprocess.run(
-                [compiler, *base_flags, *arch, src, "-o", obj],
-                capture_output=True, text=True, check=False)
-            if r.returncode != 0:
-                if is_anchor:
-                    local.add(
-                        "kernel-internal-linkage", label,
-                        "anchor TU no longer compiles — row_kernel.h's "
-                        "helper set changed; update ROW_KERNEL_ANCHOR in "
-                        "lint_invariants.py:\n" + r.stderr.strip())
-                else:
-                    local.add(
-                        "kernel-internal-linkage", label,
-                        "kernel TU does not compile standalone with its "
-                        f"arch flags ({' '.join(arch) or 'baseline'}):\n"
-                        + r.stderr.strip())
-                return local.items
-            check_object_exports(nm, obj, label, local)
+            objs = []
+            levels = KERNEL_PROBE_LEVELS[:1] if is_anchor else \
+                KERNEL_PROBE_LEVELS
+            for level in levels:
+                obj = os.path.join(tmpdir, f"probe_{idx}{level}.o")
+                r = subprocess.run(
+                    [compiler, *base_flags, level, *arch, src, "-o", obj],
+                    capture_output=True, text=True, check=False)
+                if r.returncode != 0:
+                    if is_anchor:
+                        local.add(
+                            "kernel-internal-linkage", label,
+                            "anchor TU no longer compiles — row_kernel.h's "
+                            "helper set changed; update ROW_KERNEL_ANCHOR "
+                            "in lint_invariants.py:\n" + r.stderr.strip())
+                    else:
+                        local.add(
+                            "kernel-internal-linkage", label,
+                            "kernel TU does not compile standalone with "
+                            f"its arch flags ({' '.join(arch) or 'baseline'}"
+                            f", {level}):\n" + r.stderr.strip())
+                    return local.items
+                objs.append(obj)
+            # As in check_built_objects: a TU with baseline flags emits
+            # the same COMDAT copies as every other TU.
+            check_object_exports(nm, objs, label, local, weak_ok=not arch)
             return local.items
 
         if jobs <= 1 or len(tasks) <= 1:
@@ -443,19 +475,20 @@ def check_built_objects(root, build_dir, findings, verbose):
     matched = []
     for dirpath, dirnames, filenames in os.walk(build_dir):
         dirnames[:] = [d for d in dirnames if d != "_deps"]
-        # Only the real kernel TUs (src/dtw/kernels/) are constrained —
-        # test TUs like row_kernel_property_test.cc legitimately emit
-        # gtest/libstdc++ COMDAT symbols.
+        # Only the real kernel TUs (src/dtw/kernels/, src/align/kernels/)
+        # are constrained — test TUs like row_kernel_property_test.cc
+        # legitimately emit gtest/libstdc++ COMDAT symbols.
         if os.path.basename(dirpath) != "kernels":
             continue
         for name in filenames:
-            if re.match(r"row_kernel_\w+\.cc\.(o|obj)$", name):
+            if KERNEL_OBJECT.match(name):
                 matched.append(os.path.join(dirpath, name))
     if not matched:
         findings.add(
             "kernel-internal-linkage", build_dir,
-            "no row_kernel_*.cc objects found under the build dir — wrong "
-            "--objects path, or the build layout changed")
+            "no row_kernel_*.cc or match_kernel_*.cc objects found under "
+            "the build dir — wrong --objects path, or the build layout "
+            "changed")
         return None
     for obj in sorted(matched):
         rel = os.path.relpath(obj, build_dir)
@@ -465,7 +498,7 @@ def check_built_objects(root, build_dir, findings, verbose):
         weak_ok = "portable" in os.path.basename(obj)
         if verbose:
             print(f"note: checking built object {rel}")
-        check_object_exports(nm, obj, rel, findings, weak_ok=weak_ok)
+        check_object_exports(nm, [obj], rel, findings, weak_ok=weak_ok)
 
 
 RULES = ["kernel-internal-linkage", "fp-contract", "naked-new"]

@@ -4,32 +4,10 @@
 #include <cmath>
 #include <limits>
 
-#include "ts/stats.h"
-
 namespace sdtw {
 namespace align {
 
 namespace {
-
-// Mean absolute value of the series within [start, end] (clamped).
-double ScopeAmplitude(const ts::TimeSeries& s, double start, double end) {
-  if (s.empty()) return 0.0;
-  const std::size_t b = static_cast<std::size_t>(
-      std::clamp(start, 0.0, static_cast<double>(s.size() - 1)));
-  const std::size_t e = static_cast<std::size_t>(
-      std::clamp(end, 0.0, static_cast<double>(s.size() - 1)));
-  if (e < b) return 0.0;
-  return ts::MeanAbs(
-      std::span<const double>(s.values().data() + b, e - b + 1));
-}
-
-// Clamps a keypoint's scope to the series range.
-void ClampScope(const sift::Keypoint& kp, std::size_t len, double* start,
-                double* end) {
-  const double maxi = len > 0 ? static_cast<double>(len - 1) : 0.0;
-  *start = std::clamp(kp.position - kp.scope_radius(), 0.0, maxi);
-  *end = std::clamp(kp.position + kp.scope_radius(), 0.0, maxi);
-}
 
 // Rank a boundary at `v` would take among the boundaries already committed
 // on one series (the start and end of every kept pair): the number
@@ -76,18 +54,18 @@ void SortCuts(std::vector<IntervalPair>& intervals,
 
 }  // namespace
 
-PairScores ScorePair(const ts::TimeSeries& x, const ts::TimeSeries& y,
-                     const sift::Keypoint& fx, const sift::Keypoint& fy,
+PairScores ScorePair(const sift::FeatureBlock& x, std::size_t i,
+                     const sift::FeatureBlock& y, std::size_t j,
                      double descriptor_distance) {
   PairScores s;
-  const double scope_sum = fx.scope_length() + fy.scope_length();
-  s.mu_align = (scope_sum / 2.0) / (1.0 + std::abs(fx.position - fy.position));
+  // Keypoint::scope_length() of each feature: twice its radius.
+  const double scope_sum = 2.0 * sift::ScopeRadius(x.sigma()[i]) +
+                           2.0 * sift::ScopeRadius(y.sigma()[j]);
+  s.mu_align = (scope_sum / 2.0) /
+               (1.0 + std::abs(x.position()[i] - y.position()[j]));
   s.mu_desc = 1.0 / (1.0 + descriptor_distance);
-  double sx, ex, sy, ey;
-  ClampScope(fx, x.size(), &sx, &ex);
-  ClampScope(fy, y.size(), &sy, &ey);
-  const double ax = ScopeAmplitude(x, sx, ex);
-  const double ay = ScopeAmplitude(y, sy, ey);
+  const double ax = x.scope_amplitude()[i];
+  const double ay = y.scope_amplitude()[j];
   const double denom = std::max(std::max(ax, ay), 1e-12);
   s.delta_amp = std::clamp(std::abs(ax - ay) / denom, 0.0, 1.0);
   return s;
@@ -100,14 +78,14 @@ std::vector<AlignedPair> PruneInconsistent(
     const std::vector<MatchPair>& pairs, const ConsistencyOptions& options) {
   std::vector<ScoredPair> candidates;
   std::vector<AlignedPair> kept;
-  PruneInconsistent(x, y, keypoints_x, keypoints_y, pairs, options,
+  PruneInconsistent(sift::FeatureBlock(keypoints_x, x),
+                    sift::FeatureBlock(keypoints_y, y), pairs, options,
                     &candidates, &kept);
   return kept;
 }
 
-void PruneInconsistent(const ts::TimeSeries& x, const ts::TimeSeries& y,
-                       const std::vector<sift::Keypoint>& keypoints_x,
-                       const std::vector<sift::Keypoint>& keypoints_y,
+void PruneInconsistent(const sift::FeatureBlock& keypoints_x,
+                       const sift::FeatureBlock& keypoints_y,
                        const std::vector<MatchPair>& pairs,
                        const ConsistencyOptions& options,
                        std::vector<ScoredPair>* candidates,
@@ -127,7 +105,7 @@ void PruneInconsistent(const ts::TimeSeries& x, const ts::TimeSeries& y,
     }
     ScoredPair c;
     c.match = p;
-    c.scores = ScorePair(x, y, keypoints_x[p.index_x], keypoints_y[p.index_y],
+    c.scores = ScorePair(keypoints_x, p.index_x, keypoints_y, p.index_y,
                          p.descriptor_distance);
     mu_desc_min = std::min(mu_desc_min, c.scores.mu_desc);
     cands.push_back(c);
@@ -166,13 +144,13 @@ void PruneInconsistent(const ts::TimeSeries& x, const ts::TimeSeries& y,
   }
   for (const ScoredPair& c : cands) {
     if (options.unique_features && UsesFeature(*kept, c.match)) continue;
-    const sift::Keypoint& fx = keypoints_x[c.match.index_x];
-    const sift::Keypoint& fy = keypoints_y[c.match.index_y];
     AlignedPair ap;
     ap.index_x = c.match.index_x;
     ap.index_y = c.match.index_y;
-    ClampScope(fx, x.size(), &ap.start_x, &ap.end_x);
-    ClampScope(fy, y.size(), &ap.start_y, &ap.end_y);
+    ap.start_x = keypoints_x.scope_start()[ap.index_x];
+    ap.end_x = keypoints_x.scope_end()[ap.index_x];
+    ap.start_y = keypoints_y.scope_start()[ap.index_y];
+    ap.end_y = keypoints_y.scope_end()[ap.index_y];
     ap.mu_align = c.scores.mu_align;
     ap.mu_sim = c.mu_sim;
     ap.mu_comb = c.mu_comb;

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "align/matching.h"
+#include "sift/feature_block.h"
 #include "sift/keypoint.h"
 #include "ts/time_series.h"
 
@@ -56,22 +57,15 @@ struct PairScores {
   double delta_amp = 0.0; ///< Fractional amplitude difference in [0, 1].
 };
 
-/// Computes the raw µ_align / µ_desc / Δ_amp scores of a matched pair.
+/// Computes the raw µ_align / µ_desc / Δ_amp scores of the pair of
+/// keypoint i of `x` and keypoint j of `y`.
 /// µ_align = (scope(f_i) + scope(f_j)) / 2 / (1 + |center(f_i) − center(f_j)|);
 /// µ_desc = 1 / (1 + descriptor distance); Δ_amp is the fractional difference
-/// of mean absolute series values within the two scopes.
-PairScores ScorePair(const ts::TimeSeries& x, const ts::TimeSeries& y,
-                     const sift::Keypoint& fx, const sift::Keypoint& fy,
+/// of mean absolute series values within the two scopes, read from the
+/// blocks' cached scope amplitudes.
+PairScores ScorePair(const sift::FeatureBlock& x, std::size_t i,
+                     const sift::FeatureBlock& y, std::size_t j,
                      double descriptor_distance);
-
-/// Runs scoring + greedy rank-consistency pruning over `pairs`.
-/// Returns the surviving pairs sorted by position in X.
-std::vector<AlignedPair> PruneInconsistent(
-    const ts::TimeSeries& x, const ts::TimeSeries& y,
-    const std::vector<sift::Keypoint>& keypoints_x,
-    const std::vector<sift::Keypoint>& keypoints_y,
-    const std::vector<MatchPair>& pairs,
-    const ConsistencyOptions& options = {});
 
 /// \brief A matched pair with its scores: the working set of
 /// PruneInconsistent.
@@ -82,16 +76,28 @@ struct ScoredPair {
   double mu_comb = 0.0;
 };
 
-/// PruneInconsistent into `*kept` (replaced), with `*candidates` as working
-/// storage. Both keep their capacity, so once they have held |pairs|
-/// entries the call is allocation-free.
-void PruneInconsistent(const ts::TimeSeries& x, const ts::TimeSeries& y,
-                       const std::vector<sift::Keypoint>& keypoints_x,
-                       const std::vector<sift::Keypoint>& keypoints_y,
+/// Runs scoring + greedy rank-consistency pruning over `pairs` of the
+/// keypoints of two blocks, into `*kept` (replaced), with `*candidates`
+/// as working storage; the surviving pairs come out sorted by position
+/// in X. Scope boundaries and amplitudes are the blocks' cached ones, so
+/// each block must have been built from its series. Both vectors keep
+/// their capacity, so once they have held |pairs| entries the call is
+/// allocation-free.
+void PruneInconsistent(const sift::FeatureBlock& keypoints_x,
+                       const sift::FeatureBlock& keypoints_y,
                        const std::vector<MatchPair>& pairs,
                        const ConsistencyOptions& options,
                        std::vector<ScoredPair>* candidates,
                        std::vector<AlignedPair>* kept);
+
+/// PruneInconsistent on keypoint vectors of the series x and y: stages
+/// both into blocks and runs the block form.
+std::vector<AlignedPair> PruneInconsistent(
+    const ts::TimeSeries& x, const ts::TimeSeries& y,
+    const std::vector<sift::Keypoint>& keypoints_x,
+    const std::vector<sift::Keypoint>& keypoints_y,
+    const std::vector<MatchPair>& pairs,
+    const ConsistencyOptions& options = {});
 
 /// \brief One pair of corresponding intervals of the partition induced by
 /// the committed scope boundaries (Figure 9: intervals A..K).

@@ -12,8 +12,11 @@
 /// of the best — Lowe's distinctiveness ratio test adapted to 1-D features.
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
+#include "align/match_kernel.h"
+#include "sift/feature_block.h"
 #include "sift/keypoint.h"
 
 namespace sdtw {
@@ -56,21 +59,53 @@ struct MatchingOptions {
   double tau_position = 0.35;
 };
 
+/// \brief Working storage of the block form of FindDominantPairs: the
+/// candidate pairs of the forward search and of the mutual back-check,
+/// and the kernel variant to run. Buffers keep their capacity, so after
+/// one call on the most keypoints a caller will use, the search is
+/// allocation-free. Not thread-safe: give each thread its own.
+struct MatchScratch {
+  /// One dispatched scoring call's output (align/match_kernel.h).
+  struct Candidates {
+    std::vector<std::uint32_t> j;
+    std::vector<double> sq;
+    std::vector<std::size_t> row_end;
+  };
+  Candidates forward;
+  Candidates back;
+  /// Kernel variant; nullptr runs ActiveMatchKernelOps(). Variants give
+  /// bitwise identical pairs.
+  const MatchKernelOps* kernel = nullptr;
+};
+
 /// Finds dominant matching pairs from X's keypoints to Y's. O(|SX|·|SY|)
 /// (paper §3.4). Pairs are returned sorted by index_x. When len_x/len_y are
 /// non-zero, the tau_position displacement constraint is enforced.
+///
+/// The block form is the one implementation, into `*pairs` (replaced,
+/// capacity reused). Per X keypoint, the dispatched kernel tests the
+/// thresholds against every Y keypoint and sums the squared descriptor
+/// distances of the passing ones (lane = pair, each lane in element
+/// order, so every distance is bitwise the pair-at-a-time sum); the
+/// best and second-best candidates and the distinctiveness and mutual
+/// tests then run in scalar code, in Y index order. A NaN threshold
+/// input passes the amplitude and position tests and fails the scale
+/// test. A pair whose descriptors differ in length has an infinite
+/// distance, as DescriptorDistance gives it.
+void FindDominantPairs(const sift::FeatureBlock& keypoints_x,
+                       const sift::FeatureBlock& keypoints_y,
+                       const MatchingOptions& options, std::size_t len_x,
+                       std::size_t len_y, MatchScratch& scratch,
+                       std::vector<MatchPair>* pairs);
+
+/// FindDominantPairs on keypoint vectors: stages both into blocks
+/// (without scope data, which matching does not read) and runs the block
+/// form.
 std::vector<MatchPair> FindDominantPairs(
     const std::vector<sift::Keypoint>& keypoints_x,
     const std::vector<sift::Keypoint>& keypoints_y,
     const MatchingOptions& options = {}, std::size_t len_x = 0,
     std::size_t len_y = 0);
-
-/// FindDominantPairs into `*pairs` (replaced), reusing its capacity: a
-/// vector that once held |SX| pairs makes the call allocation-free.
-void FindDominantPairs(const std::vector<sift::Keypoint>& keypoints_x,
-                       const std::vector<sift::Keypoint>& keypoints_y,
-                       const MatchingOptions& options, std::size_t len_x,
-                       std::size_t len_y, std::vector<MatchPair>* pairs);
 
 /// Euclidean distance between two descriptors (infinity on length
 /// mismatch).

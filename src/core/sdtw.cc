@@ -1,6 +1,7 @@
 #include "core/sdtw.h"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 
 namespace sdtw {
@@ -30,10 +31,8 @@ namespace {
 // scratch's pair, alignment and interval buffers. The symmetric flag is
 // ignored — symmetrisation happens at the Sdtw level by running the
 // pipeline in both directions (matching itself is directional, §3.3.3).
-void RunDirected(const ts::TimeSeries& x,
-                 const std::vector<sift::Keypoint>& features_x,
-                 const ts::TimeSeries& y,
-                 const std::vector<sift::Keypoint>& features_y,
+void RunDirected(std::size_t len_x, const sift::FeatureBlock& features_x,
+                 std::size_t len_y, const sift::FeatureBlock& features_y,
                  const SdtwOptions& options, BandScratch& scratch,
                  dtw::Band* band) {
   if (options.constraint.type == ConstraintType::kFixedCoreFixedWidth) {
@@ -42,38 +41,33 @@ void RunDirected(const ts::TimeSeries& x,
     // overhead, §4.4 / Figure 17). The interval partition degenerates to
     // the single full-range interval.
     scratch.alignments.clear();
-    align::BuildIntervals(x.size(), y.size(), scratch.alignments,
+    align::BuildIntervals(len_x, len_y, scratch.alignments,
                           &scratch.intervals);
-    dtw::SakoeChibaBand(x.size(), y.size(),
+    dtw::SakoeChibaBand(len_x, len_y,
                         options.constraint.fixed_width_fraction, band);
     return;
   }
-  align::FindDominantPairs(features_x, features_y, options.matching,
-                           x.size(), y.size(), &scratch.pairs);
-  align::PruneInconsistent(x, y, features_x, features_y, scratch.pairs,
+  align::FindDominantPairs(features_x, features_y, options.matching, len_x,
+                           len_y, scratch.match, &scratch.pairs);
+  align::PruneInconsistent(features_x, features_y, scratch.pairs,
                            options.consistency, &scratch.candidates,
                            &scratch.alignments);
-  align::BuildIntervals(x.size(), y.size(), scratch.alignments,
+  align::BuildIntervals(len_x, len_y, scratch.alignments,
                         &scratch.intervals);
-  BuildDirectedBand(x.size(), y.size(), scratch.intervals,
-                    options.constraint, band);
+  BuildDirectedBand(len_x, len_y, scratch.intervals, options.constraint,
+                    band);
 }
 
 }  // namespace
 
-dtw::Band Sdtw::BuildBand(
-    const ts::TimeSeries& x, const std::vector<sift::Keypoint>& features_x,
-    const ts::TimeSeries& y,
-    const std::vector<sift::Keypoint>& features_y) const {
-  BandScratch scratch;
-  BuildBand(x, features_x, y, features_y, scratch);
-  return std::move(scratch.band);
-}
-
-const dtw::Band& Sdtw::BuildBand(
-    const ts::TimeSeries& x, const std::vector<sift::Keypoint>& features_x,
-    const ts::TimeSeries& y, const std::vector<sift::Keypoint>& features_y,
-    BandScratch& scratch) const {
+const dtw::Band& Sdtw::BuildBand(const ts::TimeSeries& x,
+                                 const sift::FeatureBlock& features_x,
+                                 const ts::TimeSeries& y,
+                                 const sift::FeatureBlock& features_y,
+                                 BandScratch& scratch) const {
+  // The blocks' cached scope data were clamped to their own series.
+  assert(features_x.series_length() == x.size());
+  assert(features_y.series_length() == y.size());
   // Size the pair and interval buffers for the larger direction up front
   // (at most one pair per feature, 2·pairs + 1 intervals), so one build
   // on the largest pair warms the scratch for every smaller one.
@@ -85,10 +79,10 @@ const dtw::Band& Sdtw::BuildBand(
   if (options_.constraint.symmetric) {
     // The Y-driven direction runs first, so the scratch ends up holding
     // the X-driven alignments and intervals.
-    RunDirected(y, features_y, x, features_x, options_, scratch,
+    RunDirected(y.size(), features_y, x.size(), features_x, options_, scratch,
                 &scratch.reverse);
   }
-  RunDirected(x, features_x, y, features_y, options_, scratch,
+  RunDirected(x.size(), features_x, y.size(), features_y, options_, scratch,
               &scratch.band);
   if (options_.constraint.symmetric) {
     // Paper §3.3.3: "a combined band, including grid-cell positions
@@ -98,10 +92,29 @@ const dtw::Band& Sdtw::BuildBand(
   return scratch.band;
 }
 
-SdtwResult Sdtw::Compare(
+const dtw::Band& Sdtw::BuildBand(
     const ts::TimeSeries& x, const std::vector<sift::Keypoint>& features_x,
     const ts::TimeSeries& y, const std::vector<sift::Keypoint>& features_y,
-    double abandon_above) const {
+    BandScratch& scratch) const {
+  scratch.staged_x.Assign(features_x, x);
+  scratch.staged_y.Assign(features_y, y);
+  return BuildBand(x, scratch.staged_x, y, scratch.staged_y, scratch);
+}
+
+dtw::Band Sdtw::BuildBand(
+    const ts::TimeSeries& x, const std::vector<sift::Keypoint>& features_x,
+    const ts::TimeSeries& y,
+    const std::vector<sift::Keypoint>& features_y) const {
+  BandScratch scratch;
+  BuildBand(x, features_x, y, features_y, scratch);
+  return std::move(scratch.band);
+}
+
+SdtwResult Sdtw::Compare(const ts::TimeSeries& x,
+                         const sift::FeatureBlock& features_x,
+                         const ts::TimeSeries& y,
+                         const sift::FeatureBlock& features_y,
+                         double abandon_above) const {
   SdtwResult result;
   const auto t0 = std::chrono::steady_clock::now();
 
@@ -124,6 +137,15 @@ SdtwResult Sdtw::Compare(
   result.cells_filled = dp.cells_filled;
   result.cells_allocated = dp.cells_allocated;
   return result;
+}
+
+SdtwResult Sdtw::Compare(const ts::TimeSeries& x,
+                         const std::vector<sift::Keypoint>& features_x,
+                         const ts::TimeSeries& y,
+                         const std::vector<sift::Keypoint>& features_y,
+                         double abandon_above) const {
+  return Compare(x, sift::FeatureBlock(features_x, x), y,
+                 sift::FeatureBlock(features_y, y), abandon_above);
 }
 
 SdtwResult Sdtw::Compare(const ts::TimeSeries& x,

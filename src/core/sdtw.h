@@ -11,8 +11,9 @@
 /// Typical use:
 /// \code
 ///   sdtw::core::Sdtw engine;                       // default = ac,aw
-///   auto fx = engine.ExtractFeatures(x);           // cache per series
-///   auto fy = engine.ExtractFeatures(y);
+///   // Store once per series: its keypoints as one block.
+///   sdtw::sift::FeatureBlock fx(engine.ExtractFeatures(x), x);
+///   sdtw::sift::FeatureBlock fy(engine.ExtractFeatures(y), y);
 ///   sdtw::core::SdtwResult r = engine.Compare(x, fx, y, fy);
 ///   // r.distance, r.path, r.band, r.timing ...
 /// \endcode
@@ -26,6 +27,7 @@
 #include "core/constraints.h"
 #include "dtw/dtw.h"
 #include "sift/extractor.h"
+#include "sift/feature_block.h"
 #include "ts/time_series.h"
 
 namespace sdtw {
@@ -72,9 +74,10 @@ struct SdtwOptions {
   dtw::DtwOptions dtw;
 };
 
-/// \brief Caller-owned working storage of Sdtw::BuildBand: the matched,
-/// scored and kept pairs, the interval partition and the bands of one
-/// band build.
+/// \brief Caller-owned working storage of Sdtw::BuildBand: the matching
+/// candidates, the matched, scored and kept pairs, the interval partition
+/// and the bands of one band build, and the feature blocks the
+/// keypoint-vector form stages its inputs into.
 ///
 /// Every buffer keeps its capacity across builds. After one warm-up build
 /// on the longest series and the most features a caller will use, a
@@ -93,10 +96,14 @@ struct BandScratch {
 
   /// \name Working storage
   /// @{
+  align::MatchScratch match;
   std::vector<align::MatchPair> pairs;
   std::vector<align::ScoredPair> candidates;
   dtw::Band reverse;     ///< Symmetric mode: the Y-driven band.
   dtw::Band transposed;  ///< Symmetric mode: its transpose.
+  /// The keypoint-vector BuildBand's staged features.
+  sift::FeatureBlock staged_x;
+  sift::FeatureBlock staged_y;
   /// @}
 };
 
@@ -115,13 +122,22 @@ class Sdtw {
   std::vector<sift::Keypoint> ExtractFeatures(
       const ts::TimeSeries& series) const;
 
-  /// Full pipeline with pre-extracted features. A finite `abandon_above`
-  /// (the caller's best-so-far) makes the banded DP give up as soon as
-  /// every cell of a DP row — or the final distance — exceeds it,
-  /// returning distance = +infinity with an empty path. This works in both
-  /// path and distance-only modes, so retrieval loops that want alignments
-  /// prune exactly like distance-only calls. The default
-  /// dtw::kNoAbandon, or any other non-finite value, never abandons.
+  /// Full pipeline with pre-extracted features, stored as one
+  /// sift::FeatureBlock per series (built from ExtractFeatures' output
+  /// and that series). A finite `abandon_above` (the caller's
+  /// best-so-far) makes the banded DP give up as soon as every cell of a
+  /// DP row — or the final distance — exceeds it, returning distance =
+  /// +infinity with an empty path. This works in both path and
+  /// distance-only modes, so retrieval loops that want alignments prune
+  /// exactly like distance-only calls. The default dtw::kNoAbandon, or
+  /// any other non-finite value, never abandons.
+  SdtwResult Compare(const ts::TimeSeries& x,
+                     const sift::FeatureBlock& features_x,
+                     const ts::TimeSeries& y,
+                     const sift::FeatureBlock& features_y,
+                     double abandon_above = dtw::kNoAbandon) const;
+
+  /// Compare on keypoint vectors: stages them into blocks first.
   SdtwResult Compare(const ts::TimeSeries& x,
                      const std::vector<sift::Keypoint>& features_x,
                      const ts::TimeSeries& y,
@@ -131,23 +147,31 @@ class Sdtw {
   /// Convenience: extracts features on the fly and compares.
   SdtwResult Compare(const ts::TimeSeries& x, const ts::TimeSeries& y) const;
 
-  /// Builds the constraint band only (no DP) — exposed for analysis,
-  /// visualisation, and combination with other kernels (e.g.
-  /// dtw::MultiscaleDtwConstrained).
-  dtw::Band BuildBand(const ts::TimeSeries& x,
-                      const std::vector<sift::Keypoint>& features_x,
-                      const ts::TimeSeries& y,
-                      const std::vector<sift::Keypoint>& features_y) const;
+  /// Builds the constraint band only (no DP) into `scratch`, reusing its
+  /// storage (allocation-free once warm, see BandScratch) — exposed for
+  /// analysis, visualisation, and combination with other kernels (e.g.
+  /// dtw::MultiscaleDtwConstrained). Returns scratch.band, valid until
+  /// the scratch's next use. This is the one band pipeline; every other
+  /// BuildBand and Compare runs it.
+  const dtw::Band& BuildBand(const ts::TimeSeries& x,
+                             const sift::FeatureBlock& features_x,
+                             const ts::TimeSeries& y,
+                             const sift::FeatureBlock& features_y,
+                             BandScratch& scratch) const;
 
-  /// BuildBand into `scratch`, reusing its storage (allocation-free once
-  /// warm, see BandScratch). Returns scratch.band, valid until the
-  /// scratch's next use. The value-returning BuildBand and Compare run
-  /// this same pipeline.
+  /// BuildBand on keypoint vectors, staged into the scratch's blocks
+  /// (allocation-free once warm as well).
   const dtw::Band& BuildBand(const ts::TimeSeries& x,
                              const std::vector<sift::Keypoint>& features_x,
                              const ts::TimeSeries& y,
                              const std::vector<sift::Keypoint>& features_y,
                              BandScratch& scratch) const;
+
+  /// BuildBand on keypoint vectors into a fresh scratch.
+  dtw::Band BuildBand(const ts::TimeSeries& x,
+                      const std::vector<sift::Keypoint>& features_x,
+                      const ts::TimeSeries& y,
+                      const std::vector<sift::Keypoint>& features_y) const;
 
  private:
   SdtwOptions options_;

@@ -51,11 +51,12 @@ DistanceMatrix ComputeSdtwMatrix(const ts::Dataset& dataset,
   opts.dtw.want_path = false;
   core::Sdtw engine(opts);
 
-  // One-time per-series feature extraction (outside timing, §4.2).
-  std::vector<std::vector<sift::Keypoint>> features;
+  // One-time per-series feature extraction (outside timing, §4.2),
+  // stored as one block per series.
+  std::vector<sift::FeatureBlock> features;
   features.reserve(m.n);
   for (std::size_t i = 0; i < m.n; ++i) {
-    features.push_back(engine.ExtractFeatures(dataset[i]));
+    features.emplace_back(engine.ExtractFeatures(dataset[i]), dataset[i]);
   }
 
   for (std::size_t i = 0; i < m.n; ++i) {

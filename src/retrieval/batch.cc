@@ -183,7 +183,8 @@ QueryContext BatchKnnEngine::MakeQueryContext(
   QueryContext context;
   context.stats = dtw::MakeSeriesStats(query);
   if (opt.distance == DistanceKind::kSdtw) {
-    context.features = index_.engine_.ExtractFeatures(query);
+    context.features =
+        sift::FeatureBlock(index_.engine_.ExtractFeatures(query), query);
   }
   return context;
 }

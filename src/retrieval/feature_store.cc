@@ -45,8 +45,10 @@ std::optional<FeatureSets> ReadFeatures(std::istream& in) {
       std::size_t index = 0, count = 0;
       if (!(iss >> index >> count)) return std::nullopt;
       if (index != features.size()) return std::nullopt;
+      // The count is untrusted: keypoints are appended as their lines
+      // arrive, never reserved up front, so a huge count is refused as a
+      // truncated record instead of throwing from the allocator.
       features.emplace_back();
-      features.back().reserve(count);
       expected = count;
     } else if (tag == "kp") {
       if (features.empty() || expected == 0) return std::nullopt;

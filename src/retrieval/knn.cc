@@ -50,19 +50,17 @@ void KnnEngine::Index(const ts::Dataset& dataset) {
   series_.clear();
   features_.clear();
   stats_.clear();
+  const bool sdtw = options_.distance == DistanceKind::kSdtw;
   series_.reserve(dataset.size());
-  features_.reserve(dataset.size());
+  if (sdtw) features_.reserve(dataset.size());
   stats_.reserve(dataset.size());
 
   max_length_ = dataset.MaxLength();
   for (const ts::TimeSeries& s : dataset) {
     series_.push_back(s);
-    // One-time per-series extraction (paper §3.4).
-    if (options_.distance == DistanceKind::kSdtw) {
-      features_.push_back(engine_.ExtractFeatures(s));
-    } else {
-      features_.emplace_back();
-    }
+    // One-time per-series extraction (paper §3.4), stored as one block
+    // built straight from the extractor's output.
+    if (sdtw) features_.emplace_back(engine_.ExtractFeatures(s), s);
     stats_.push_back(dtw::MakeSeriesStats(s));
   }
 }

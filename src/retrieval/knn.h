@@ -21,6 +21,7 @@
 
 #include "core/sdtw.h"
 #include "dtw/lower_bounds.h"
+#include "sift/feature_block.h"
 #include "ts/time_series.h"
 
 namespace sdtw {
@@ -183,7 +184,9 @@ class KnnEngine {
   KnnOptions options_;
   core::Sdtw engine_;
   std::vector<ts::TimeSeries> series_;
-  std::vector<std::vector<sift::Keypoint>> features_;
+  /// Per-series salient features, one block each; empty unless the
+  /// distance is kSdtw (only the kSdtw cascade reads it).
+  std::vector<sift::FeatureBlock> features_;
   /// Cached per-series min/max/first/last: LB_Kim is O(1) per candidate,
   /// and the extrema are the candidate's full-span Keogh envelope.
   std::vector<dtw::SeriesStats> stats_;

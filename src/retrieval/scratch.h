@@ -22,11 +22,12 @@
 #include <utility>
 #include <vector>
 
+#include "align/match_kernel.h"
 #include "core/sdtw.h"
 #include "dtw/band.h"
 #include "dtw/dtw.h"
 #include "dtw/lower_bounds.h"
-#include "sift/keypoint.h"
+#include "sift/feature_block.h"
 #include "ts/time_series.h"
 
 namespace sdtw {
@@ -37,8 +38,8 @@ struct QueryContext {
   /// Summary (first/last/min/max) of the query: the LB_Kim inputs, and
   /// the query's full-span envelope for the reverse LB_Keogh test.
   dtw::SeriesStats stats;
-  /// Salient features of the query (sDTW distance only).
-  std::vector<sift::Keypoint> features;
+  /// Salient features of the query as one block (sDTW distance only).
+  sift::FeatureBlock features;
 };
 
 /// \brief Mutable per-worker scratch reused across every candidate a
@@ -67,10 +68,15 @@ class ScratchArena {
   dtw::DtwScratch& dp() { return dp_; }
   std::size_t dp_width() const { return dp_.width(); }
 
-  /// Pins the row-kernel variant every DP this worker runs uses (nullptr
-  /// = process-wide active variant); forwarded to the dtw scratch so the
-  /// cascade's kernels pick it up without further plumbing.
-  void set_kernel(const dtw::RowKernelOps* ops) { dp_.set_kernel(ops); }
+  /// Pins the kernel variant every DP and every band build of this worker
+  /// uses (nullptr = process-wide active variant): the row kernel goes to
+  /// the dtw scratch, the matching kernel of the same variant to the band
+  /// scratch, so the cascade picks both up without further plumbing.
+  void set_kernel(const dtw::RowKernelOps* ops) {
+    dp_.set_kernel(ops);
+    band_.match.kernel =
+        ops != nullptr ? align::FindMatchKernelOps(ops->variant) : nullptr;
+  }
 
   /// Storage every sDTW band of this worker is built into
   /// (core::Sdtw::BuildBand's scratch overload). It grows to the largest

@@ -16,6 +16,10 @@
 namespace sdtw {
 namespace sift {
 
+/// Scope radius of a feature of temporal scale σ: 3σ. Every scope bound
+/// and length in the library derives from this one rule.
+inline double ScopeRadius(double sigma) { return 3.0 * sigma; }
+
 /// \brief A salient feature with its temporal descriptor.
 struct Keypoint {
   /// Centre position in original-resolution samples.
@@ -35,8 +39,8 @@ struct Keypoint {
   /// Gradient descriptor (length = 2a * 2, see Descriptor creation).
   std::vector<double> descriptor;
 
-  /// Scope radius: 3σ.
-  double scope_radius() const { return 3.0 * sigma; }
+  /// Scope radius: ScopeRadius(σ).
+  double scope_radius() const { return ScopeRadius(sigma); }
 
   /// Scope start, clamped at 0.
   double scope_start() const {

@@ -16,6 +16,16 @@ sift::Keypoint MakeKp(double pos, double sigma, double amp = 0.0) {
   return kp;
 }
 
+// ScorePair of keypoint a of x and keypoint b of y, each staged as a
+// one-keypoint block of its series.
+PairScores ScoreOne(const ts::TimeSeries& x, const ts::TimeSeries& y,
+                    const sift::Keypoint& a, const sift::Keypoint& b,
+                    double descriptor_distance) {
+  return ScorePair(sift::FeatureBlock(std::vector<sift::Keypoint>{a}, x), 0,
+                   sift::FeatureBlock(std::vector<sift::Keypoint>{b}, y), 0,
+                   descriptor_distance);
+}
+
 ts::TimeSeries Ramp(std::size_t n) {
   std::vector<double> v(n);
   for (std::size_t i = 0; i < n; ++i) v[i] = static_cast<double>(i) * 0.01;
@@ -27,29 +37,29 @@ TEST(ScorePairTest, AlignmentPrefersLargeCloseFeatures) {
   const sift::Keypoint big_near = MakeKp(50, 5);
   const sift::Keypoint big_near_y = MakeKp(52, 5);
   const sift::Keypoint small_far_y = MakeKp(90, 1);
-  const PairScores close = ScorePair(x, y, big_near, big_near_y, 0.0);
-  const PairScores far = ScorePair(x, y, big_near, small_far_y, 0.0);
+  const PairScores close = ScoreOne(x, y, big_near, big_near_y, 0.0);
+  const PairScores far = ScoreOne(x, y, big_near, small_far_y, 0.0);
   EXPECT_GT(close.mu_align, far.mu_align);
 }
 
 TEST(ScorePairTest, DescriptorScoreDecreasesWithDistance) {
   const ts::TimeSeries x = Ramp(100), y = Ramp(100);
   const sift::Keypoint a = MakeKp(50, 5), b = MakeKp(52, 5);
-  EXPECT_GT(ScorePair(x, y, a, b, 0.0).mu_desc,
-            ScorePair(x, y, a, b, 2.0).mu_desc);
+  EXPECT_GT(ScoreOne(x, y, a, b, 0.0).mu_desc,
+            ScoreOne(x, y, a, b, 2.0).mu_desc);
 }
 
 TEST(ScorePairTest, DeltaAmpZeroForIdenticalScopes) {
   const ts::TimeSeries x = Ramp(100), y = Ramp(100);
   const sift::Keypoint a = MakeKp(50, 5), b = MakeKp(50, 5);
-  EXPECT_NEAR(ScorePair(x, y, a, b, 0.0).delta_amp, 0.0, 1e-9);
+  EXPECT_NEAR(ScoreOne(x, y, a, b, 0.0).delta_amp, 0.0, 1e-9);
 }
 
 TEST(ScorePairTest, DeltaAmpBoundedByOne) {
   const ts::TimeSeries x = Ramp(100);
   const ts::TimeSeries y = ts::TimeSeries::Zeros(100);
   const sift::Keypoint a = MakeKp(80, 5), b = MakeKp(80, 5);
-  const PairScores s = ScorePair(x, y, a, b, 0.0);
+  const PairScores s = ScoreOne(x, y, a, b, 0.0);
   EXPECT_GE(s.delta_amp, 0.0);
   EXPECT_LE(s.delta_amp, 1.0);
 }

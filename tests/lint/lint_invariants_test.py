@@ -46,6 +46,20 @@ class FixtureTest(unittest.TestCase):
         self.assertIn("LeakyHelper", out)
         self.assertNotIn("kFixtureRowKernelOps", out)
 
+    def test_match_kernel_internal_linkage_fires(self):
+        out = self.assert_fires("bad_match_linkage",
+                                "kernel-internal-linkage", 1)
+        self.assertIn("LeakyMatchHelper", out)
+        self.assertNotIn("kFixtureMatchKernelOps", out)
+
+    def test_inline_call_leak_fires_without_inlining(self):
+        # Clean at -O1, where the call is inlined; the -O0 probe (what a
+        # Debug build compiles) sees the weak copy.
+        out = self.assert_fires("bad_inline_linkage",
+                                "kernel-internal-linkage", 1)
+        self.assertIn("FixtureBlock::data", out)
+        self.assertNotIn("kFixtureMatchKernelOps", out)
+
     def test_fp_contract_fires(self):
         out = self.assert_fires("bad_fp_contract", "fp-contract", 3)
         self.assertIn("CMakeLists.txt:6", out)   # -ffast-math

@@ -97,6 +97,19 @@ TEST(FeatureStoreTest, RejectsMalformedKeypoint) {
   EXPECT_FALSE(ReadFeatures(in).has_value());
 }
 
+TEST(FeatureStoreTest, RejectsHugeKeypointCountWithoutThrowing) {
+  // 18446744073709551615 is also what "-1" parses to; neither count may
+  // reach an allocation.
+  for (const char* count : {"18446744073709551615", "-1", "100000000000"}) {
+    SCOPED_TRACE(count);
+    std::istringstream in(std::string("sdtw-features v1\nseries 0 ") + count +
+                          "\nkp 1 1 0 1 0.5 0.1 1 0\nend\n");
+    std::optional<FeatureSets> read;
+    EXPECT_NO_THROW(read = ReadFeatures(in));
+    EXPECT_FALSE(read.has_value());
+  }
+}
+
 TEST(FeatureStoreTest, RejectsUnknownTag) {
   std::istringstream in("sdtw-features v1\nbogus\nend\n");
   EXPECT_FALSE(ReadFeatures(in).has_value());
