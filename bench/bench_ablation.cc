@@ -1,4 +1,5 @@
-// Ablation bench for the design choices DESIGN.md calls out (not a paper
+// Ablation bench for the knobs this implementation sets where the paper
+// leaves a choice open or fixes it without a sweep (not a paper
 // figure): each section toggles one knob of the pipeline and reports
 // distance error / retrieval accuracy / time gain on the Trace-like set.
 //

@@ -374,6 +374,25 @@ const bool kMatchRowsRegistered = [] {
   return true;
 }();
 
+// Feature extraction over every series of a corpus in turn, so the branch
+// predictor cannot learn one series, as it can in BM_FeatureExtraction;
+// `series_us` is microseconds per series.
+void BM_ExtractCorpus(benchmark::State& state, bool words) {
+  const MatchCorpus& c = TheMatchCorpus(words);
+  const core::Sdtw engine;
+  for (auto _ : state) {
+    for (const ts::TimeSeries& s : c.series) {
+      benchmark::DoNotOptimize(engine.ExtractFeatures(s).data());
+    }
+  }
+  state.counters["series_us"] = benchmark::Counter(
+      static_cast<double>(c.series.size()) * 1e-6,
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK_CAPTURE(BM_ExtractCorpus, trace128, false);
+BENCHMARK_CAPTURE(BM_ExtractCorpus, words270, true);
+
 void BM_BandConstruction(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const ts::TimeSeries x = MakeSeries(n, 6);

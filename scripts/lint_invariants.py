@@ -45,7 +45,11 @@ Usage:
 
 Default --root is the repository this script lives in. --objects
 additionally verifies the kernel objects an existing build produced (the
-belt to the compile-probe braces; CI runs it after the build). --jobs N
+belt to the compile-probe braces; CI runs it after the build, the
+sanitizer build included): only the objects of the kernel sources
+<root>/src/CMakeLists.txt lists, so an incremental build's object of a
+since-removed kernel source is not checked, and ASan's ODR indicator of
+an allowed table (`__odr_asan.` + its mangled name) is allowed. --jobs N
 runs the kernel compile probes concurrently (findings stay in source
 order regardless). Exit code: 0 clean, 1 findings, 2 usage error,
 69 (EX_UNAVAILABLE) when a probe tool (compiler / nm) is missing and
@@ -74,10 +78,16 @@ ALLOWED_KERNEL_EXPORT = re.compile(
     r"^sdtw::(dtw::internal::k\w*RowKernelOps|"
     r"align::internal::k\w*MatchKernelOps)$")
 
+# ASan gives every exported global an ODR indicator: `__odr_asan.` + the
+# global's mangled name (nm type B), which nm -C leaves mangled.
+ODR_INDICATOR = re.compile(r"^__odr_asan\.(_Z\w+)$")
+
 # Directories (relative to the root) whose .cc files are kernel TUs, and
 # the object names a build gives them.
 KERNEL_DIRS = (("src", "dtw", "kernels"), ("src", "align", "kernels"))
 KERNEL_OBJECT = re.compile(r"(row|match)_kernel_\w+\.cc\.(o|obj)$")
+# A kernel source as src/CMakeLists.txt lists it (relative to src/).
+LISTED_KERNEL_SOURCE = re.compile(r"\b((?:dtw|align)/kernels/\w+\.cc)\b")
 
 # Optimisation levels each kernel TU is probed at: -O1 stands for the
 # optimised builds; -O0 is what a Debug build compiles, where calls to
@@ -329,6 +339,37 @@ def external_symbols(nm, obj):
     return out
 
 
+def demangle_variable(mangled):
+    """The qualified name of a namespace-scope variable's mangled name
+    ('_ZN4sdtw3dtw8internal19kAvx512RowKernelOpsE' ->
+    'sdtw::dtw::internal::kAvx512RowKernelOps'); None for any other
+    form."""
+    if not (mangled.startswith("_ZN") and mangled.endswith("E")):
+        return None
+    body, parts = mangled[3:-1], []
+    while body:
+        m = re.match(r"\d+", body)
+        if not m:
+            return None
+        n, start = int(m.group(0)), m.end()
+        if n == 0 or len(body) < start + n:
+            return None
+        parts.append(body[start:start + n])
+        body = body[start + n:]
+    return "::".join(parts) if parts else None
+
+
+def allowed_export(name):
+    """An allowed ops table, or ASan's ODR indicator of one."""
+    if ALLOWED_KERNEL_EXPORT.match(name):
+        return True
+    m = ODR_INDICATOR.match(name)
+    if not m:
+        return False
+    table = demangle_variable(m.group(1))
+    return table is not None and bool(ALLOWED_KERNEL_EXPORT.match(table))
+
+
 def check_object_exports(nm, objs, label, findings, weak_ok=False):
     """nm-checks the objects of one TU (one per probe level); a symbol
     several of them export is reported once."""
@@ -341,7 +382,7 @@ def check_object_exports(nm, objs, label, findings, weak_ok=False):
             findings.add("kernel-internal-linkage", label, str(e))
             return
     for name, sym_type in symbols.items():
-        if ALLOWED_KERNEL_EXPORT.match(name):
+        if allowed_export(name):
             continue
         if weak_ok and sym_type in ("W", "V", "w", "v"):
             continue
@@ -472,6 +513,13 @@ def check_built_objects(root, build_dir, findings, verbose):
     nm = find_tool("nm", "llvm-nm")
     if nm is None:
         return "no nm/llvm-nm found (apt: binutils) — cannot verify built objects"
+    # The kernel sources the build still compiles; None (no
+    # src/CMakeLists.txt under the root) checks every kernel object.
+    listed = None
+    cmake_lists = os.path.join(root, "src", "CMakeLists.txt")
+    if os.path.isfile(cmake_lists):
+        listed = set(LISTED_KERNEL_SOURCE.findall(
+            strip_cmake_comments(read_text(cmake_lists))))
     matched = []
     for dirpath, dirnames, filenames in os.walk(build_dir):
         dirnames[:] = [d for d in dirnames if d != "_deps"]
@@ -481,8 +529,21 @@ def check_built_objects(root, build_dir, findings, verbose):
         if os.path.basename(dirpath) != "kernels":
             continue
         for name in filenames:
-            if KERNEL_OBJECT.match(name):
-                matched.append(os.path.join(dirpath, name))
+            if not KERNEL_OBJECT.match(name):
+                continue
+            obj = os.path.join(dirpath, name)
+            # CMake names the object <source path>.o under the target's
+            # object directory; a kernel source since removed from
+            # src/CMakeLists.txt leaves a stale object behind.
+            source = "/".join(
+                [os.path.basename(os.path.dirname(dirpath)), "kernels",
+                 name.rsplit(".", 1)[0]])
+            if listed is not None and source not in listed:
+                if verbose:
+                    print(f"note: skipping {os.path.relpath(obj, build_dir)}"
+                          f": {source} is not in src/CMakeLists.txt")
+                continue
+            matched.append(obj)
     if not matched:
         findings.add(
             "kernel-internal-linkage", build_dir,

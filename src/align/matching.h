@@ -54,8 +54,8 @@ struct MatchingOptions {
   /// observes that unconstrained matching "identified some very distant
   /// pairs"; pairwise rank conflicts remove them when several pairs are
   /// committed, but a *single* surviving distant pair has nothing to
-  /// conflict with and can skew the whole band (see DESIGN.md). <= 0
-  /// disables the constraint.
+  /// conflict with and can skew the whole band. <= 0 disables the
+  /// constraint.
   double tau_position = 0.35;
 };
 

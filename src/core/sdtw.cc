@@ -16,12 +16,12 @@ double SecondsSince(std::chrono::steady_clock::time_point t0) {
 
 }  // namespace
 
-Sdtw::Sdtw(SdtwOptions options) : options_(std::move(options)) {}
+Sdtw::Sdtw(SdtwOptions options)
+    : options_(std::move(options)), extractor_(options_.extractor) {}
 
 std::vector<sift::Keypoint> Sdtw::ExtractFeatures(
     const ts::TimeSeries& series) const {
-  sift::SalientExtractor extractor(options_.extractor);
-  return extractor.Extract(series);
+  return extractor_.Extract(series);
 }
 
 namespace {

@@ -175,6 +175,9 @@ class Sdtw {
 
  private:
   SdtwOptions options_;
+  /// Built once from options_.extractor; ExtractFeatures shares it across
+  /// threads (Extract is const and keeps its working storage per call).
+  sift::SalientExtractor extractor_;
 };
 
 /// Returns the standard algorithm roster evaluated in the paper's §4.3 —

@@ -7,7 +7,8 @@
 ///
 /// The real UCR archive is not redistributable with this repository, so the
 /// generators below synthesise sets with the same cardinalities and the same
-/// *structural profiles* the paper's analysis depends on (see DESIGN.md §4):
+/// *structural profiles* the paper's analysis depends on (feature scale,
+/// feature density, temporal shift), one per set:
 ///
 ///  * GunLike — two motion classes built from a rise–plateau–fall prototype;
 ///    class 2 adds a characteristic overshoot dip. Few, large-scale

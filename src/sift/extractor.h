@@ -35,7 +35,8 @@ struct ExtractorOptions {
   /// "ε = 0.96%"; reproducing Table 2's keypoint densities (~3 points per
   /// sample) requires reading this as 1 − ε = 0.04, i.e. ε = 0.96 — a
   /// heavily relaxed test whose real filtering happens downstream in
-  /// matching and inconsistency pruning (see DESIGN.md).
+  /// matching and inconsistency pruning (README, "Salient-feature
+  /// extraction").
   double epsilon = 0.96;
 
   /// Minimum |DoG| response; suppresses low-contrast keypoints (SIFT step 2
@@ -82,6 +83,10 @@ struct ExtractorOptions {
 };
 
 /// \brief Extracts salient features from time series.
+///
+/// The options' Gaussian kernels and level σ are resolved once, at
+/// construction; Extract keeps everything else in per-call storage, so
+/// one extractor may serve any number of threads at once.
 class SalientExtractor {
  public:
   explicit SalientExtractor(ExtractorOptions options = {});
@@ -89,19 +94,12 @@ class SalientExtractor {
   const ExtractorOptions& options() const { return options_; }
 
   /// Runs detection + description on one series. Returned keypoints are in
-  /// original-resolution coordinates, sorted by position.
+  /// original-resolution coordinates, sorted by position (then σ).
   std::vector<Keypoint> Extract(const ts::TimeSeries& series) const;
-
-  /// Detection only (no descriptors); useful for analyses such as Table 2.
-  std::vector<Keypoint> Detect(const signal::ScaleSpace& space) const;
-
-  /// Computes the descriptor of a keypoint against its octave in `space`.
-  /// The keypoint must carry valid octave/level indices.
-  std::vector<double> Describe(const signal::ScaleSpace& space,
-                               const Keypoint& keypoint) const;
 
  private:
   ExtractorOptions options_;
+  signal::ScaleSpaceKernels kernels_;
 };
 
 /// Counts keypoints per scale class (Table 2 reporting).

@@ -26,31 +26,56 @@ GaussianKernel MakeGaussianKernel(double sigma) {
   return k;
 }
 
+void Convolve(std::span<const double> input, const GaussianKernel& kernel,
+              std::span<double> padded, std::span<double> out) {
+  const long n = static_cast<long>(input.size());
+  if (n == 0) return;
+  const long radius = static_cast<long>(kernel.radius());
+  // Reflect-pad once: padded[k] = input[reflect(k - radius)], reflecting
+  // around the boundary samples (…, 2, 1, 0 | 1, 2, …) as many times as
+  // needed for kernels wider than the signal.
+  for (long k = 0; k < n + 2 * radius; ++k) {
+    long idx = k - radius;
+    while (idx < 0 || idx >= n) {
+      if (idx < 0) idx = -idx;
+      if (idx >= n) idx = 2 * (n - 1) - idx;
+      if (n == 1) {
+        idx = 0;
+        break;
+      }
+    }
+    padded[static_cast<std::size_t>(k)] = input[static_cast<std::size_t>(idx)];
+  }
+
+  // Branch-free: output i reads padded[i .. i + 2r]. kBlock outputs share
+  // each tap load and accumulate in independent lanes, each lane in tap
+  // order from +0.0, exactly like the one-output tail loop.
+  constexpr std::size_t kBlock = 8;
+  const std::size_t len = input.size();
+  const std::size_t taps = kernel.taps.size();
+  const double* p = padded.data();
+  const double* w = kernel.taps.data();
+  std::size_t i = 0;
+  for (; i + kBlock <= len; i += kBlock) {
+    double acc[kBlock] = {};
+    for (std::size_t t = 0; t < taps; ++t) {
+      const double tap = w[t];
+      for (std::size_t k = 0; k < kBlock; ++k) acc[k] += p[i + k + t] * tap;
+    }
+    for (std::size_t k = 0; k < kBlock; ++k) out[i + k] = acc[k];
+  }
+  for (; i < len; ++i) {
+    double acc = 0.0;
+    for (std::size_t t = 0; t < taps; ++t) acc += p[i + t] * w[t];
+    out[i] = acc;
+  }
+}
+
 std::vector<double> Convolve(const std::vector<double>& input,
                              const GaussianKernel& kernel) {
-  const long n = static_cast<long>(input.size());
-  if (n == 0) return {};
-  const long radius = static_cast<long>(kernel.radius());
-  std::vector<double> out(input.size(), 0.0);
-  for (long i = 0; i < n; ++i) {
-    double acc = 0.0;
-    for (long t = -radius; t <= radius; ++t) {
-      long idx = i + t;
-      // Reflect around the boundary samples (…, 2, 1, 0 | 1, 2, …) as many
-      // times as needed for kernels wider than the signal.
-      while (idx < 0 || idx >= n) {
-        if (idx < 0) idx = -idx;
-        if (idx >= n) idx = 2 * (n - 1) - idx;
-        if (n == 1) {
-          idx = 0;
-          break;
-        }
-      }
-      acc += input[static_cast<std::size_t>(idx)] *
-             kernel.taps[static_cast<std::size_t>(t + radius)];
-    }
-    out[static_cast<std::size_t>(i)] = acc;
-  }
+  std::vector<double> padded(input.size() + 2 * kernel.radius());
+  std::vector<double> out(input.size());
+  Convolve(input, kernel, padded, out);
   return out;
 }
 
@@ -61,15 +86,22 @@ ts::TimeSeries GaussianSmooth(const ts::TimeSeries& input, double sigma) {
   return out;
 }
 
-std::vector<double> Gradient(const std::vector<double>& input) {
+void Gradient(std::span<const double> input, std::span<double> out) {
   const std::size_t n = input.size();
-  std::vector<double> g(n, 0.0);
-  if (n < 2) return g;
-  g[0] = input[1] - input[0];
-  g[n - 1] = input[n - 1] - input[n - 2];
-  for (std::size_t i = 1; i + 1 < n; ++i) {
-    g[i] = 0.5 * (input[i + 1] - input[i - 1]);
+  if (n < 2) {
+    std::fill(out.begin(), out.end(), 0.0);
+    return;
   }
+  out[0] = input[1] - input[0];
+  out[n - 1] = input[n - 1] - input[n - 2];
+  for (std::size_t i = 1; i + 1 < n; ++i) {
+    out[i] = 0.5 * (input[i + 1] - input[i - 1]);
+  }
+}
+
+std::vector<double> Gradient(const std::vector<double>& input) {
+  std::vector<double> g(input.size());
+  Gradient(input, g);
   return g;
 }
 

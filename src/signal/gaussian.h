@@ -10,6 +10,7 @@
 /// entry points it needs.
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "ts/time_series.h"
@@ -32,9 +33,22 @@ GaussianKernel MakeGaussianKernel(double sigma);
 
 /// Convolves `input` with `kernel` using reflective ("mirror") boundary
 /// handling, which avoids fabricating edge discontinuities that would show
-/// up as spurious scale-space extrema.
+/// up as spurious scale-space extrema. The input is reflected as many
+/// times as a kernel wider than the signal needs (…, 2, 1 | 0, 1, 2, … |
+/// n−2, …); a one-sample signal repeats its sample.
+///
+/// Exactness: every output starts from +0.0 and adds input × tap for
+/// t = −r…r in that order, so the result is bitwise fixed however the
+/// outputs are computed (several at once in vector lanes here).
 std::vector<double> Convolve(const std::vector<double>& input,
                              const GaussianKernel& kernel);
+
+/// Convolve into caller storage, allocation-free: `out` receives
+/// input.size() outputs and must not overlap `input`; `padded` is
+/// scratch of at least input.size() + 2 * kernel.radius() doubles that
+/// holds the reflected input.
+void Convolve(std::span<const double> input, const GaussianKernel& kernel,
+              std::span<double> padded, std::span<double> out);
 
 /// Gaussian-smooths a time series: L(i, σ) = G(i, σ) * x_i.
 ts::TimeSeries GaussianSmooth(const ts::TimeSeries& input, double sigma);
@@ -43,6 +57,9 @@ ts::TimeSeries GaussianSmooth(const ts::TimeSeries& input, double sigma);
 /// same length as the input. This is the 1-D analogue of SIFT's image
 /// gradients (only the horizontal direction exists; paper §3.1.2 step 2).
 std::vector<double> Gradient(const std::vector<double>& input);
+
+/// Gradient into caller storage: `out` has input.size() elements.
+void Gradient(std::span<const double> input, std::span<double> out);
 
 /// Downsamples by taking every second sample ("picking every second pixel",
 /// paper §3.1.2), used when moving to the next octave.

@@ -7,8 +7,10 @@ expected finding count) and that the real tree passes clean. Run directly
 or via ctest (registered in tests/lint/CMakeLists.txt)."""
 
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 import unittest
 
 REPO_ROOT = os.environ.get(
@@ -74,6 +76,94 @@ class FixtureTest(unittest.TestCase):
         self.assertIn("leaky_buffer.cc:14", out)  # std::malloc
         # lint:allow(naked-new) suppresses line 19.
         self.assertNotIn("leaky_buffer.cc:19", out)
+
+
+class BuiltObjectsTest(unittest.TestCase):
+    """--objects over a sanitizer build: objects compiled here with
+    -fsanitize=address into a CMake-like layout, under the fixture root
+    objects_asan, whose src/CMakeLists.txt lists one kernel source."""
+
+    ROOT = os.path.join(FIXTURES, "objects_asan")
+    LISTED = os.path.join("dtw", "kernels", "row_kernel_avx2_fixture.cc")
+    LEAKY = ("namespace sdtw { namespace dtw { namespace internal {\n"
+             "double LeakyHelper(double x) { return x + 1.0; }\n"
+             "} } }\n")
+
+    def setUp(self):
+        self.cxx = (os.environ.get("CXX") or shutil.which("c++")
+                    or shutil.which("g++"))
+        if self.cxx is None:
+            self.skipTest("no C++ compiler")
+        self.tmp = tempfile.TemporaryDirectory(prefix="sdtw_lint_objects_")
+        self.build = self.tmp.name
+        self.objdir = os.path.join(self.build, "src", "CMakeFiles",
+                                   "fixture.dir")
+
+    def tearDown(self):
+        self.tmp.cleanup()
+
+    def compile(self, source, rel_source):
+        obj = os.path.join(self.objdir, rel_source + ".o")
+        os.makedirs(os.path.dirname(obj), exist_ok=True)
+        r = subprocess.run(
+            [self.cxx, "-std=c++20", "-O0", "-fsanitize=address", "-c",
+             source, "-o", obj], capture_output=True, text=True,
+            check=False)
+        if r.returncode != 0:
+            self.skipTest(f"cannot compile with -fsanitize=address: "
+                          f"{r.stderr.strip()}")
+        return obj
+
+    def compile_text(self, text, rel_source):
+        source = os.path.join(self.build, os.path.basename(rel_source))
+        with open(source, "w", encoding="utf-8") as f:
+            f.write(text)
+        return self.compile(source, rel_source)
+
+    def lint(self):
+        return run_linter("--root", self.ROOT, "--only",
+                          "kernel-internal-linkage", "--objects", self.build)
+
+    def test_odr_indicator_allowed_and_stale_object_skipped(self):
+        obj = self.compile(os.path.join(self.ROOT, "src", self.LISTED),
+                           self.LISTED)
+        nm = subprocess.run(["nm", obj], capture_output=True, text=True,
+                            check=False)
+        self.assertIn("__odr_asan._ZN4sdtw3dtw8internal"
+                      "20kFixtureRowKernelOpsE", nm.stdout)
+        # The object of a kernel source no longer listed: it would leak.
+        self.compile_text(self.LEAKY, os.path.join(
+            "dtw", "kernels", "row_kernel_avx2_removed.cc"))
+        r = self.lint()
+        self.assertEqual(r.returncode, 0,
+                         f"stdout:\n{r.stdout}\nstderr:\n{r.stderr}")
+
+    def test_listed_leaky_object_still_fires(self):
+        self.compile_text(self.LEAKY, self.LISTED)
+        r = self.lint()
+        self.assertEqual(r.returncode, 1,
+                         f"stdout:\n{r.stdout}\nstderr:\n{r.stderr}")
+        self.assertIn("LeakyHelper", r.stdout)
+
+
+class DemangleTest(unittest.TestCase):
+    def test_odr_indicator_of_an_allowed_table_only(self):
+        sys.path.insert(0, os.path.join(REPO_ROOT, "scripts"))
+        try:
+            import lint_invariants as lint
+        finally:
+            sys.path.pop(0)
+        self.assertTrue(lint.allowed_export(
+            "__odr_asan._ZN4sdtw3dtw8internal19kAvx512RowKernelOpsE"))
+        self.assertTrue(lint.allowed_export(
+            "__odr_asan._ZN4sdtw5align8internal23kPortableMatchKernelOpsE"))
+        # A wrong length prefix, another name, another namespace.
+        self.assertFalse(lint.allowed_export(
+            "__odr_asan._ZN4sdtw3dtw8internal18kAvx512RowKernelOpsE"))
+        self.assertFalse(lint.allowed_export(
+            "__odr_asan._ZN4sdtw3dtw8internal11LeakyHelperE"))
+        self.assertFalse(lint.allowed_export(
+            "__odr_asan._ZN4sdtw3dtw19kAvx512RowKernelOpsE"))
 
 
 class CleanTreeTest(unittest.TestCase):

@@ -37,13 +37,13 @@ TEST(ScaleSpaceTest, OctaveCountMatchesOptions) {
   ScaleSpaceOptions opt;
   opt.num_octaves = 3;
   ScaleSpace space(MakeBumpySeries(512), opt);
-  EXPECT_EQ(space.octaves().size(), 3u);
+  EXPECT_EQ(space.num_octaves(), 3u);
 }
 
 TEST(ScaleSpaceTest, AutoOctavesUsed) {
   ScaleSpaceOptions opt;  // num_octaves = 0 -> auto
   ScaleSpace space(MakeBumpySeries(275), opt);
-  EXPECT_EQ(space.octaves().size(), AutoOctaves(275));
+  EXPECT_EQ(space.num_octaves(), AutoOctaves(275));
 }
 
 TEST(ScaleSpaceTest, LevelsPerOctave) {
@@ -51,19 +51,17 @@ TEST(ScaleSpaceTest, LevelsPerOctave) {
   opt.num_octaves = 2;
   opt.levels_per_octave = 3;
   ScaleSpace space(MakeBumpySeries(256), opt);
-  for (const Octave& o : space.octaves()) {
-    EXPECT_EQ(o.gaussians.size(), 6u);  // s + 3
-    EXPECT_EQ(o.dogs.size(), 5u);       // s + 2
-  }
+  EXPECT_EQ(space.num_levels(), 6u);  // s + 3
+  EXPECT_EQ(space.num_dogs(), 5u);    // s + 2
 }
 
 TEST(ScaleSpaceTest, OctaveLengthsHalve) {
   ScaleSpaceOptions opt;
   opt.num_octaves = 3;
   ScaleSpace space(MakeBumpySeries(256), opt);
-  ASSERT_GE(space.octaves().size(), 2u);
-  const std::size_t l0 = space.octaves()[0].length();
-  const std::size_t l1 = space.octaves()[1].length();
+  ASSERT_GE(space.num_octaves(), 2u);
+  const std::size_t l0 = space.length(0);
+  const std::size_t l1 = space.length(1);
   EXPECT_NEAR(static_cast<double>(l0) / static_cast<double>(l1), 2.0, 0.1);
 }
 
@@ -71,10 +69,10 @@ TEST(ScaleSpaceTest, DogIsDifferenceOfAdjacentGaussians) {
   ScaleSpaceOptions opt;
   opt.num_octaves = 1;
   ScaleSpace space(MakeBumpySeries(128), opt);
-  const Octave& o = space.octaves()[0];
-  for (std::size_t l = 0; l < o.dogs.size(); ++l) {
-    for (std::size_t i = 0; i < o.dogs[l].size(); i += 13) {
-      EXPECT_NEAR(o.dogs[l][i], o.gaussians[l + 1][i] - o.gaussians[l][i],
+  for (std::size_t l = 0; l < space.num_dogs(); ++l) {
+    for (std::size_t i = 0; i < space.dog(0, l).size(); i += 13) {
+      EXPECT_NEAR(space.dog(0, l)[i],
+                  space.gaussian(0, l + 1)[i] - space.gaussian(0, l)[i],
                   1e-12);
     }
   }
@@ -84,9 +82,9 @@ TEST(ScaleSpaceTest, SigmasIncreaseWithinOctave) {
   ScaleSpaceOptions opt;
   opt.num_octaves = 2;
   ScaleSpace space(MakeBumpySeries(256), opt);
-  for (const Octave& o : space.octaves()) {
-    for (std::size_t l = 1; l < o.sigmas.size(); ++l) {
-      EXPECT_GT(o.sigmas[l], o.sigmas[l - 1]);
+  for (std::size_t o = 0; o < space.num_octaves(); ++o) {
+    for (std::size_t l = 1; l < space.num_levels(); ++l) {
+      EXPECT_GT(space.AbsoluteSigma(o, l), space.AbsoluteSigma(o, l - 1));
     }
   }
 }
@@ -117,21 +115,21 @@ TEST(ScaleSpaceTest, ShortSeriesGetsOneOctave) {
                                    1.0, 2.0}),
                    opt);
   // 10 samples: octave 0 builds, downsampled 5 < min_length stops there.
-  EXPECT_EQ(space.octaves().size(), 1u);
+  EXPECT_EQ(space.num_octaves(), 1u);
 }
 
 TEST(ScaleSpaceTest, DegenerateTinyInputStillProvidesOctave) {
   ScaleSpaceOptions opt;
   ScaleSpace space(ts::TimeSeries({1.0, 2.0}), opt);
-  EXPECT_GE(space.octaves().size(), 1u);
+  EXPECT_GE(space.num_octaves(), 1u);
 }
 
 TEST(ScaleSpaceTest, ConstantSeriesHasZeroDog) {
   ScaleSpaceOptions opt;
   opt.num_octaves = 1;
   ScaleSpace space(ts::TimeSeries::Constant(64, 3.0), opt);
-  for (const auto& dog : space.octaves()[0].dogs) {
-    for (double v : dog) EXPECT_NEAR(v, 0.0, 1e-9);
+  for (std::size_t l = 0; l < space.num_dogs(); ++l) {
+    for (double v : space.dog(0, l)) EXPECT_NEAR(v, 0.0, 1e-9);
   }
 }
 
